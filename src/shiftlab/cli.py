@@ -24,11 +24,13 @@ from fractions import Fraction
 from . import __version__
 from .combstruct import (
     SimplicialComplex,
-    UniformHypergraph,
     complex_from_json,
+    complex_from_text,
     complex_to_json,
+    faces_from_text,
     faces_to_text,
     hypergraph_from_json,
+    hypergraph_from_text,
     hypergraph_to_json,
 )
 from .errors import InputFormatError, MathPreconditionError, ShiftlabError
@@ -79,21 +81,6 @@ def _read_text(path: str) -> str:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_face_lines(text: str) -> list[list[int]]:
-    faces = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            faces.append([int(tok) for tok in re.split(r"[,\s]+", line) if tok])
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: {exc}") from exc
-    if not faces:
-        raise InputFormatError("no faces found in text input")
-    return faces
-
-
 def _load_object(text: str, kind: str, n: int | None):
     """Parse input as ('hypergraph', H) or ('complex', K).
 
@@ -125,19 +112,14 @@ def _load_object(text: str, kind: str, n: int | None):
                 )
             return "complex", complex_from_json(stripped)
         raise InputFormatError('JSON input needs an "edges" or "facets" key')
-    faces = _parse_face_lines(text)
-    size = n if n is not None else max((v for f in faces for v in f), default=0)
+    faces = faces_from_text(text)
+    if not faces:
+        raise InputFormatError("no faces found in text input")
     if kind == "hypergraph" or (
         kind == "auto" and len({len(f) for f in faces}) == 1
     ):
-        k = len(faces[0])
-        if any(len(f) != k for f in faces):
-            raise InputFormatError("hypergraph text input must be uniform")
-        try:
-            return "hypergraph", UniformHypergraph.from_edges(size, k, faces)
-        except MathPreconditionError as exc:
-            raise InputFormatError(str(exc)) from exc
-    return "complex", _as_complex(size, faces)
+        return "hypergraph", hypergraph_from_text(text, n)
+    return "complex", complex_from_text(text, n)
 
 
 def _as_complex(n, facets) -> SimplicialComplex:
@@ -181,7 +163,6 @@ def _context_of(args) -> FieldContext:
         args.backend,
         seed=_seed_of(args),
         epsilon=_parse_epsilon(args.epsilon),
-        char0_double_prime=getattr(args, "char0_double_prime", False),
     )
 
 
@@ -378,13 +359,6 @@ def _add_common(parser: argparse.ArgumentParser, backend: bool = True) -> None:
             metavar="E",
             help="randomized-backend error bound in (0,1); accepts 2^-K, "
             "fractions like 1/1024, and decimals (default 2^-30)",
-        )
-        parser.add_argument(
-            "--char0-double-prime",
-            action="store_true",
-            help="characteristic-0 randomized runs eliminate modulo two "
-            "independent 62-bit primes and cross-check, instead of exact "
-            "integer arithmetic",
         )
     parser.add_argument(
         "--seed",

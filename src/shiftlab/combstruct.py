@@ -44,6 +44,7 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
     "faces_to_text",
+    "faces_from_text",
     "hypergraph_from_text",
     "complex_from_text",
 ]
@@ -483,22 +484,30 @@ def faces_to_text(faces: Iterable[Iterable[int]]) -> str:
     return "\n".join(" ".join(str(v) for v in face) for face in faces) + "\n"
 
 
-def _parse_face_lines(text: str) -> list[list[int]]:
+def faces_from_text(text: str) -> list[list[int]]:
+    """One face per line, vertices separated by commas or whitespace.
+
+    ``#`` starts a comment; blank lines are skipped.  A line that holds
+    anything but comments must hold at least one vertex.
+    """
     faces = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            faces.append([int(tok) for tok in line.split()])
+            face = [int(tok) for tok in line.replace(",", " ").split()]
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {line!r} is not a face") from exc
+        if not face:
+            raise InputFormatError(f"line {lineno}: {line!r} holds no vertices")
+        faces.append(face)
     return faces
 
 
 def hypergraph_from_text(text: str, n: int | None = None) -> UniformHypergraph:
     """Parse one edge per line; n defaults to the largest vertex seen."""
-    faces = _parse_face_lines(text)
+    faces = faces_from_text(text)
     if not faces:
         raise InputFormatError("no edges found and no way to infer (n, k)")
     ks = {len(f) for f in faces}
@@ -515,10 +524,10 @@ def hypergraph_from_text(text: str, n: int | None = None) -> UniformHypergraph:
 
 def complex_from_text(text: str, n: int | None = None) -> SimplicialComplex:
     """Parse one facet per line; n defaults to the largest vertex seen."""
-    faces = _parse_face_lines(text)
+    faces = faces_from_text(text)
     if not faces:
         return SimplicialComplex(0, frozenset())
-    inferred = max(max(f) for f in faces if f)
+    inferred = max(max(f) for f in faces)
     if n is None:
         n = inferred
     try:

@@ -48,8 +48,7 @@ __all__ = [
     "EvalPoint",
     "poly_eval",
     "sample_eval_point",
-    "char0_prime_pair",
-    "reduce_point_mod",
+    "degree_budget",
     "DeterministicStream",
     "rank_profile",
     "matrix_rank",
@@ -122,20 +121,13 @@ class FieldContext:
     """Everything a shifting call needs to know about its arithmetic.
 
     Immutable; operations taking a context are pure functions of
-    (inputs, context).  ``extension_degree`` optionally floors the
-    extension used for characteristic-p sampling; the degree required by
-    the per-call Schwartz-Zippel budget always wins if larger.
-    ``char0_double_prime`` switches the characteristic-zero randomized
-    path from exact big-integer elimination to reduction modulo two
-    independently chosen 62-bit primes with an agreement check.
+    (inputs, context).
     """
 
     characteristic: Characteristic
     backend: Backend
     seed: int = 0
     epsilon: Fraction = DEFAULT_EPSILON
-    extension_degree: int | None = None
-    char0_double_prime: bool = False
 
     def domain_size_bound(self, degree_budget: int) -> int:
         """Smallest admissible sampling-domain size for one randomized call."""
@@ -148,8 +140,6 @@ def make_field_context(
     backend: Backend | str = Backend.RANDOMIZED,
     seed: int = 0,
     epsilon: Fraction = DEFAULT_EPSILON,
-    extension_degree: int | None = None,
-    char0_double_prime: bool = False,
 ) -> FieldContext:
     if not isinstance(characteristic, Characteristic):
         characteristic = Characteristic(int(characteristic))
@@ -161,15 +151,11 @@ def make_field_context(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise MathPreconditionError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if extension_degree is not None and extension_degree < 1:
-        raise MathPreconditionError("extension_degree must be positive")
     return FieldContext(
         characteristic=characteristic,
         backend=backend,
         seed=int(seed),
         epsilon=epsilon,
-        extension_degree=extension_degree,
-        char0_double_prime=char0_double_prime,
     )
 
 
@@ -966,12 +952,6 @@ class DeterministicStream:
             if v < bound:
                 return v
 
-    def random_prime(self, bits: int) -> int:
-        while True:
-            candidate = self.getbits(bits) | (1 << (bits - 1)) | 1
-            if is_prime(candidate):
-                return candidate
-
 
 @dataclass
 class EvalPoint:
@@ -991,6 +971,17 @@ class EvalPoint:
 def poly_eval(f: MultiPoly, point: EvalPoint):
     """Evaluate a polynomial at a point; every variable must be assigned."""
     return f.evaluate(point.assignment, point.domain)
+
+
+def degree_budget(entry_degree: int, rank: int, ncols: int) -> int:
+    """Schwartz-Zippel degree budget for a lex-first column rank profile.
+
+    The profile of a matrix with ``ncols`` columns, rank at most ``rank``
+    and entries of total degree at most ``entry_degree`` is decided by at
+    most ``ncols`` minors of order at most ``rank``; their product has
+    degree at most the returned bound.  Each factor is clamped to 1.
+    """
+    return max(1, entry_degree) * max(1, rank) * max(1, ncols)
 
 
 def sample_eval_point(
@@ -1015,10 +1006,7 @@ def sample_eval_point(
         domain = ZZ
         assignment = {var: 1 + stream.randbelow(bound) for var in ordered}
     else:
-        p = ctx.characteristic.value
-        if ctx.extension_degree:
-            bound = max(bound, p**ctx.extension_degree)
-        domain = gf_extension(p, bound, seed=ctx.seed)
+        domain = gf_extension(ctx.characteristic.value, bound, seed=ctx.seed)
         assignment = {
             var: domain.sample(stream.randbelow(domain.size)) for var in ordered
         }
@@ -1028,31 +1016,6 @@ def sample_eval_point(
         seed=ctx.seed,
         call_tag=call_tag,
         attempt=attempt,
-    )
-
-
-def char0_prime_pair(
-    ctx: FieldContext, call_tag: str, attempt: int = 0
-) -> tuple[PrimeField, PrimeField]:
-    """Two distinct random 62-bit prime fields for the double-prime mode."""
-    stream = DeterministicStream("doubleprime", ctx.seed, call_tag, attempt)
-    first = stream.random_prime(62)
-    second = stream.random_prime(62)
-    while second == first:
-        second = stream.random_prime(62)
-    return PrimeField(first), PrimeField(second)
-
-
-def reduce_point_mod(point: EvalPoint, field: PrimeField) -> EvalPoint:
-    """The same integer evaluation point with arithmetic moved to GF(p)."""
-    if point.domain is not ZZ:
-        raise InternalError("only integer points can be reduced modulo a prime")
-    return EvalPoint(
-        assignment={v: a % field.p for v, a in point.assignment.items()},
-        domain=field,
-        seed=point.seed,
-        call_tag=point.call_tag,
-        attempt=point.attempt,
     )
 
 
@@ -1180,7 +1143,7 @@ def rank_profile(
         for entry in row:
             variables |= entry.variables()
             max_deg = max(max_deg, entry.degree())
-    budget = max(1, max_deg) * min(len(rows), ncols) * max(1, ncols)
+    budget = degree_budget(max_deg, min(len(rows), ncols), ncols)
     tag = "rank_profile:" + repr(
         (len(rows), ncols, tuple(order), sorted(variables))
     )
@@ -1189,14 +1152,6 @@ def rank_profile(
         [entry.evaluate(point.assignment, point.domain) for entry in row]
         for row in poly_rows
     ]
-    if ctx.characteristic.is_zero and ctx.char0_double_prime:
-        results = []
-        for fld in char0_prime_pair(ctx, tag):
-            reduced = [[e % fld.p for e in row] for row in concrete]
-            results.append(_profile_over(reduced, order, fld))
-        if results[0] == results[1]:
-            return results[0]
-        # the prime pair disagreed; settle with exact integer elimination
     return _profile_over(concrete, order, point.domain)
 
 

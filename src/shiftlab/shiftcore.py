@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 from .combstruct import KSubset, UniformHypergraph, k_subsets
@@ -41,9 +41,8 @@ from .field import (
     PolynomialRing,
     ProfileState,
     ZZ,
-    char0_prime_pair,
+    degree_budget,
     matrix_rank,
-    reduce_point_mod,
     sample_eval_point,
 )
 from .symgroup import Permutation
@@ -69,6 +68,7 @@ __all__ = [
     "partial_shift",
     "partial_shift_profile",
     "full_shift",
+    "shift_layers",
     "combinatorial_shift",
     "bruhat_cell",
     "coset_normalize",
@@ -396,18 +396,10 @@ def compound_rows(g: GenericMatrix, S: UniformHypergraph) -> CompoundSubmatrix:
 # ------------------------------------------------------------ the shift
 
 
-def _complete_profile(n: int, k: int, m: int) -> tuple[tuple[int, ...], tuple]:
-    ncols = len(k_subsets(n, k))
-    if m == 0:
-        return (0,) * (ncols + 1), ()
-    # complete layer: every column is a pivot
-    ranks = tuple(min(i, m) for i in range(ncols + 1))
-    return ranks, k_subsets(n, k)
-
-
 def _degree_budget(g: GenericMatrix, S: UniformHypergraph) -> int:
+    # compound entries are k x k minors of g
     ncols = len(k_subsets(S.n, S.k))
-    return max(1, g.degree_bound) * S.k * max(1, S.m) * ncols
+    return degree_budget(S.k * max(1, g.degree_bound), S.m, ncols)
 
 
 def _offer_columns(state: ProfileState, columns, get_column, m: int):
@@ -428,19 +420,15 @@ def _offer_columns(state: ProfileState, columns, get_column, m: int):
 
 def _shift_symbolic(g: GenericMatrix, S: UniformHypergraph, char: int):
     dom = PolynomialRing(char)
-    if not g.symbolically_invertible:
-        poly_rows = [[e.reduce_mod(char) if char else e for e in row] for row in g.entries]
-        if matrix_rank(poly_rows, dom) < g.n:
-            raise MatrixNotInvertibleError(
-                "matrix is singular over the symbolic coefficient ring"
-            )
+    entries = g.entries
+    if char:
+        entries = tuple(tuple(e.reduce_mod(char) for e in row) for row in entries)
+    if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
+        raise MatrixNotInvertibleError(
+            "matrix is singular over the symbolic coefficient ring"
+        )
     columns = k_subsets(S.n, S.k)
-    wedge_rows = []
-    for edge in S.edges:
-        entries = g.entries
-        if char:
-            entries = tuple(tuple(e.reduce_mod(char) for e in row) for row in entries)
-        wedge_rows.append(_wedge_rows(entries, edge, S.n, dom))
+    wedge_rows = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
     state = ProfileState(dom, S.m)
     return _offer_columns(
         state,
@@ -465,39 +453,45 @@ def _shift_at_point(g: GenericMatrix, S: UniformHypergraph, point: EvalPoint):
     )
 
 
-def _profile_at_point(
-    g: GenericMatrix, S: UniformHypergraph, ctx: FieldContext, point: EvalPoint
-):
-    """Profile at one integer point, honoring the double-prime mode.
-
-    In that mode the elimination runs modulo two independent random 62-bit
-    primes; agreement is accepted, disagreement falls back to the exact
-    integer elimination at the same point.
-    """
-    if ctx.characteristic.is_zero and ctx.char0_double_prime:
-        first, second = char0_prime_pair(ctx, point.call_tag, point.attempt)
-        a = _shift_at_point(g, S, reduce_point_mod(point, first))
-        if a == _shift_at_point(g, S, reduce_point_mod(point, second)):
-            return a
-    return _shift_at_point(g, S, point)
+def _invertible_point(
+    g: GenericMatrix, budget: int, tag: str, ctx: FieldContext
+) -> EvalPoint:
+    """First of up to 1 + INVERTIBILITY_RETRIES points where g is invertible."""
+    for attempt in range(1 + INVERTIBILITY_RETRIES):
+        point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
+        if g.unit_determinant:
+            return point
+        if matrix_rank(evaluate_matrix(g, point), point.domain) == g.n:
+            return point
+    raise MatrixNotInvertibleError(
+        "matrix evaluated to a singular matrix at "
+        f"{1 + INVERTIBILITY_RETRIES} independent random point(s)"
+    )
 
 
 def _shift_randomized(g: GenericMatrix, S: UniformHypergraph, ctx: FieldContext):
-    budget = _degree_budget(g, S)
     tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
-    last_error = None
-    for attempt in range(1 + INVERTIBILITY_RETRIES):
-        point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
-        if not g.unit_determinant:
-            concrete = evaluate_matrix(g, point)
-            if matrix_rank(concrete, point.domain) < g.n:
-                last_error = MatrixNotInvertibleError(
-                    "matrix evaluated to a singular matrix at "
-                    f"{1 + attempt} independent random point(s)"
-                )
-                continue
-        return _profile_at_point(g, S, ctx, point)
-    raise last_error
+    point = _invertible_point(g, _degree_budget(g, S), tag, ctx)
+    return _shift_at_point(g, S, point)
+
+
+def _layer_profile(g: GenericMatrix, S: UniformHypergraph, eliminate):
+    """Profile of S under g, calling ``eliminate()`` unless S is trivial.
+
+    An empty family, or a complete one under a matrix known to be
+    invertible, shifts to itself without elimination.  Otherwise the
+    elimination must find one pivot per edge.
+    """
+    m, ncols = S.m, len(k_subsets(S.n, S.k))
+    if m == 0 or (m == ncols and g.symbolically_invertible):
+        return tuple(range(m + 1)) + (m,) * (ncols - m), S
+    ranks, pivots = eliminate()
+    if len(pivots) != m:
+        raise MatrixNotInvertibleError(
+            f"shift produced {len(pivots)} pivots for {m} edges; "
+            "the matrix cannot be invertible"
+        )
+    return ranks, UniformHypergraph(S.n, S.k, tuple(pivots))
 
 
 def exterior_shift_profile(
@@ -510,20 +504,33 @@ def exterior_shift_profile(
     """
     if g.n != S.n:
         raise MathPreconditionError("matrix and hypergraph sizes differ")
-    ncols = len(k_subsets(S.n, S.k))
-    if S.m == 0 or (S.m == ncols and g.symbolically_invertible):
-        ranks, pivots = _complete_profile(S.n, S.k, S.m)
-        return ranks, UniformHypergraph(S.n, S.k, tuple(pivots))
     if ctx.backend is Backend.SYMBOLIC:
-        ranks, pivots = _shift_symbolic(g, S, ctx.characteristic.value)
+        eliminate = partial(_shift_symbolic, g, S, ctx.characteristic.value)
     else:
-        ranks, pivots = _shift_randomized(g, S, ctx)
-    if len(pivots) != S.m:
-        raise MatrixNotInvertibleError(
-            f"shift produced {len(pivots)} pivots for {S.m} edges; "
-            "the matrix cannot be invertible"
-        )
-    return ranks, UniformHypergraph(S.n, S.k, tuple(pivots))
+        eliminate = partial(_shift_randomized, g, S, ctx)
+    return _layer_profile(g, S, eliminate)
+
+
+def shift_layers(
+    g: GenericMatrix,
+    layers: Sequence[UniformHypergraph],
+    tag: str,
+    ctx: FieldContext,
+) -> list[UniformHypergraph]:
+    """Shift several families by the same matrix g.
+
+    Randomized runs draw one point for the call ``tag`` with the budget
+    summed over all layers, so a single evaluation of g shifts every layer.
+    """
+    if any(S.n != g.n for S in layers):
+        raise MathPreconditionError("matrix and hypergraph sizes differ")
+    if ctx.backend is Backend.SYMBOLIC:
+        return [exterior_shift(g, S, ctx) for S in layers]
+    point = _invertible_point(g, sum(_degree_budget(g, S) for S in layers), tag, ctx)
+    return [
+        _layer_profile(g, S, partial(_shift_at_point, g, S, point))[1]
+        for S in layers
+    ]
 
 
 def exterior_shift(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -33,28 +32,23 @@ from .combstruct import (
 from .errors import (
     InternalError,
     MathPreconditionError,
-    MatrixNotInvertibleError,
     NotClosedError,
 )
 from .field import (
-    Backend,
     Characteristic,
     DeterministicStream,
     FieldContext,
     PrimeField,
     ZZ,
     matrix_rank,
-    sample_eval_point,
+    sample_eval_point,  # patched by name in bench/spans.py; unused here
 )
 from .shiftcore import (
     GenericMatrix,
-    INVERTIBILITY_RETRIES,
     cell_representative,
-    exterior_shift,
+    evaluate_matrix,  # patched by name in bench/spans.py; unused here
     full_shift,
-    _degree_budget,
-    _profile_at_point,
-    evaluate_matrix,
+    shift_layers,
 )
 from .shiftgraph import (
     ContractedShiftGraph,
@@ -229,42 +223,10 @@ def shift_complex_by_matrix(
     """
     if g.n != K.n:
         raise MathPreconditionError("matrix size must match the complex")
-    dim = K.dim
-    if dim < 0:
+    if K.dim < 0:
         return K
-    layers = K.layers()
-    if ctx.backend is Backend.SYMBOLIC:
-        shifted = [exterior_shift(g, layer, ctx) for layer in layers]
-        return _reassemble(K, shifted)
-    budget = sum(_degree_budget(g, layer) for layer in layers)
-    tag = (
-        f"shift_complex:{g.fingerprint}:{K.n}:"
-        f"{tuple(sorted(K.faces))!r}"
-    )
-    last_error = None
-    for attempt in range(1 + INVERTIBILITY_RETRIES):
-        point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
-        if not g.unit_determinant:
-            if matrix_rank(evaluate_matrix(g, point), point.domain) < g.n:
-                last_error = MatrixNotInvertibleError(
-                    "matrix evaluated to a singular matrix at "
-                    f"{1 + attempt} independent random point(s)"
-                )
-                continue
-        shifted = []
-        for layer in layers:
-            if layer.m == math.comb(K.n, layer.k) and g.symbolically_invertible:
-                shifted.append(layer)
-                continue
-            _, pivots = _profile_at_point(g, layer, ctx, point)
-            if len(pivots) != layer.m:
-                raise MatrixNotInvertibleError(
-                    "layer shift produced too few pivots; matrix cannot be "
-                    "invertible"
-                )
-            shifted.append(UniformHypergraph(K.n, layer.k, tuple(pivots)))
-        return _reassemble(K, shifted)
-    raise last_error
+    tag = f"shift_complex:{g.fingerprint}:{K.n}:{tuple(sorted(K.faces))!r}"
+    return _reassemble(K, shift_layers(g, K.layers(), tag, ctx))
 
 
 @lru_cache(maxsize=None)

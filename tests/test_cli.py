@@ -102,6 +102,10 @@ def test_shift_text_input_modes(tmp_path, capsys):
     # without --n the vertex count defaults to the largest label seen
     out = run_ok(capsys, "shift", "-i", str(path), "--perm", "w0")
     assert json.loads(out)["n"] == 3
+    # a line with text but no vertices is not an empty face
+    path.write_text(",\n")
+    code, _, err = run_cli(capsys, "shift", "-i", str(path), "--perm", "e")
+    assert code == 2 and "no vertices" in err
 
 
 def test_shift_complex_input(rp2_file, capsys):
@@ -333,11 +337,3 @@ def test_epsilon_parsing(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "shift", "-i", str(inp), "--perm", "w0", "--epsilon", "x")
     assert code == 2
 
-
-def test_char0_double_prime_flag(tmp_path, capsys):
-    inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"n": 6, "k": 3, "edges": [[1, 2, 3], [1, 4, 5], [2, 4, 6], [3, 5, 6]]}))
-    out = run_ok(
-        capsys, "shift", "-i", str(inp), "--matrix", "vandermonde6", "--char0-double-prime"
-    )
-    assert json.loads(out)["edges"] == [[1, 2, 3], [1, 2, 4], [1, 2, 5], [1, 3, 4]]

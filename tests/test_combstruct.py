@@ -331,6 +331,9 @@ def test_text_round_trip_with_comments():
         hypergraph_from_text("1 two\n")
     with pytest.raises(InputFormatError):
         hypergraph_from_text("")
+    with pytest.raises(InputFormatError):
+        hypergraph_from_text(",\n")  # a line with no vertices
+    assert hypergraph_from_text("1,2\n3, 4\n") == h
 
 
 def test_complex_from_text():
@@ -338,6 +341,7 @@ def test_complex_from_text():
     assert K == SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]])
     assert complex_from_text("").dim == -2
     assert complex_from_text("1 2\n", n=5).n == 5
+    assert complex_from_text("1,2,3\n3, 4\n") == K
 
 
 def test_fvector_indexing():

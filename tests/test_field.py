@@ -10,7 +10,6 @@ from shiftlab import (
     Backend,
     Characteristic,
     DeterministicStream,
-    InternalError,
     InvalidCharacteristicError,
     MathPreconditionError,
     MultiPoly,
@@ -24,7 +23,6 @@ from shiftlab import (
     rank_profile,
     sample_eval_point,
 )
-from shiftlab.field import char0_prime_pair, reduce_point_mod
 
 
 # -------------------------------------------------------- characteristic
@@ -230,8 +228,6 @@ def test_deterministic_stream_ranges():
     assert s.randbelow(1) == 0
     with pytest.raises(MathPreconditionError):
         s.randbelow(0)
-    p = DeterministicStream("prime").random_prime(62)
-    assert is_prime(p) and p.bit_length() == 62 and p % 2 == 1
 
 
 # -------------------------------------------------------- point sampling
@@ -266,27 +262,6 @@ def test_sample_eval_point_charp_domain_size():
     bound = ctx.domain_size_bound(10)  # 80
     assert pt.domain.characteristic == 2
     assert pt.domain.size >= bound > pt.domain.size // 2
-    floored = make_field_context(
-        2, Backend.RANDOMIZED, epsilon=Fraction(1, 4), extension_degree=9
-    )
-    assert sample_eval_point(floored, [(1, 1)], 1, "tag").domain.size >= 2**9
-
-
-def test_char0_prime_pair_and_reduction():
-    ctx = make_field_context(0, Backend.RANDOMIZED, seed=11)
-    f1, f2 = char0_prime_pair(ctx, "tag")
-    assert f1.p != f2.p
-    assert f1.p.bit_length() == 62 and f2.p.bit_length() == 62
-    g1, g2 = char0_prime_pair(ctx, "tag")
-    assert (g1.p, g2.p) == (f1.p, f2.p)
-    pt = sample_eval_point(ctx, [(1, 1), (2, 2)], 3, "tag")
-    reduced = reduce_point_mod(pt, f1)
-    assert reduced.domain is f1
-    assert all(
-        reduced.assignment[v] == pt.assignment[v] % f1.p for v in pt.assignment
-    )
-    with pytest.raises(InternalError):
-        reduce_point_mod(reduced, f2)
 
 
 # ---------------------------------------------------------- rank profiles
@@ -346,11 +321,7 @@ def test_rank_profile_symbolic_and_randomized_agree():
     rows = _poly_rows_with_dependency()
     sym = rank_profile(rows, ctx=make_field_context(0, Backend.SYMBOLIC))
     rnd = rank_profile(rows, ctx=make_field_context(0, Backend.RANDOMIZED, seed=5))
-    dbl = rank_profile(
-        rows,
-        ctx=make_field_context(0, Backend.RANDOMIZED, seed=5, char0_double_prime=True),
-    )
-    assert sym == rnd == dbl
+    assert sym == rnd
     assert sym[0] == (0, 1, 2, 2, 2)
     for p in (2, 3):
         sym_p = rank_profile(rows, ctx=make_field_context(p, Backend.SYMBOLIC))

@@ -223,15 +223,6 @@ def test_profile_shape_and_pivot_consistency():
         assert partial_shift(S, w, RND) == shifted
 
 
-def test_double_prime_mode_matches_exact_shifts():
-    dbl = make_field_context(0, Backend.RANDOMIZED, seed=0, char0_double_prime=True)
-    gen = rng("double-prime")
-    for _ in range(10):
-        S = _hg(4, 2, gen.sample(list(itertools.combinations(range(1, 5), 2)), 3))
-        w = gen.choice(list(all_permutations(4)))
-        assert partial_shift(S, w, dbl) == partial_shift(S, w, RND)
-
-
 def test_randomized_shift_is_seed_independent_here():
     S = _hg(5, 2, [[1, 4], [2, 5], [3, 4], [4, 5]])
     results = {

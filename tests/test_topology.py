@@ -11,6 +11,7 @@ from shiftlab import (
     BettiVector,
     InternalError,
     MathPreconditionError,
+    MatrixNotInvertibleError,
     Permutation,
     ScanReport,
     SimplicialComplex,
@@ -25,6 +26,7 @@ from shiftlab import (
     is_near_cone,
     is_shifted,
     make_field_context,
+    matrix_from_entries,
     near_cone_betti,
     partial_shift,
     preserves_betti_certificate,
@@ -257,6 +259,11 @@ def test_shift_complex_edge_cases():
     with pytest.raises(MathPreconditionError):
         shift_complex_by_matrix(K, identity_matrix(5), RND)
     assert shift_complex_by_matrix(K, identity_matrix(6), RND) == K
+    sing = matrix_from_entries([[1, 1, 1], [1, 1, 1], [0, 0, 1]])
+    triangle = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
+    for ctx in (SYM, RND):
+        with pytest.raises(MatrixNotInvertibleError):
+            shift_complex_by_matrix(triangle, sing, ctx)
 
 
 def test_shift_complex_backends_agree():
