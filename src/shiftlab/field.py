@@ -46,7 +46,6 @@ __all__ = [
     "MultiPoly",
     "PolynomialRing",
     "EvalPoint",
-    "poly_eval",
     "sample_eval_point",
     "degree_budget",
     "DeterministicStream",
@@ -968,11 +967,6 @@ class EvalPoint:
     attempt: int = 0
 
 
-def poly_eval(f: MultiPoly, point: EvalPoint):
-    """Evaluate a polynomial at a point; every variable must be assigned."""
-    return f.evaluate(point.assignment, point.domain)
-
-
 def degree_budget(entry_degree: int, rank: int, ncols: int) -> int:
     """Schwartz-Zippel degree budget for a lex-first column rank profile.
 
@@ -1092,16 +1086,25 @@ class ProfileState:
         return False
 
 
-def _profile_over(rows, order, domain) -> tuple[tuple[int, ...], frozenset[int]]:
-    state = ProfileState(domain, len(rows))
+def _profile_over(
+    nrows: int, keys: Sequence, column, domain
+) -> tuple[tuple[int, ...], list]:
+    """Offer ``column(key)`` for each key in turn until the rank is ``nrows``.
+
+    Returns the rank sequence (r_0, .., r_N) over all N keys, padded with
+    the full rank once no column can add to it, and the pivot keys in order.
+    """
+    state = ProfileState(domain, nrows)
     ranks = [0]
     pivots = []
-    for col in order:
-        column = [row[col] for row in rows]
-        if state.offer(column):
-            pivots.append(col)
+    for key in keys:
+        if state.rank >= nrows:
+            break
+        if state.offer(column(key)):
+            pivots.append(key)
         ranks.append(state.rank)
-    return tuple(ranks), frozenset(pivots)
+    ranks.extend([state.rank] * (len(keys) + 1 - len(ranks)))
+    return tuple(ranks), pivots
 
 
 def rank_profile(
@@ -1131,33 +1134,40 @@ def rank_profile(
         isinstance(entry, MultiPoly) for row in rows for entry in row
     )
     if not symbolic_entries:
-        return _profile_over(rows, order, domain if domain is not None else ZZ)
-    char = ctx.characteristic.value if ctx is not None else 0
-    if ctx is None or ctx.backend is Backend.SYMBOLIC:
+        dom = domain if domain is not None else ZZ
+    elif ctx is None or ctx.backend is Backend.SYMBOLIC:
+        dom = PolynomialRing(ctx.characteristic.value if ctx is not None else 0)
+        rows = [[_coerce(entry) for entry in row] for row in rows]
+    else:
         poly_rows = [[_coerce(entry) for entry in row] for row in rows]
-        return _profile_over(poly_rows, order, PolynomialRing(char))
-    poly_rows = [[_coerce(entry) for entry in row] for row in rows]
-    variables = set()
-    max_deg = 0
-    for row in poly_rows:
-        for entry in row:
-            variables |= entry.variables()
-            max_deg = max(max_deg, entry.degree())
-    budget = degree_budget(max_deg, min(len(rows), ncols), ncols)
-    tag = "rank_profile:" + repr(
-        (len(rows), ncols, tuple(order), sorted(variables))
+        variables = set()
+        max_deg = 0
+        for row in poly_rows:
+            for entry in row:
+                variables |= entry.variables()
+                max_deg = max(max_deg, entry.degree())
+        budget = degree_budget(max_deg, min(len(rows), ncols), ncols)
+        tag = "rank_profile:" + repr(
+            (len(rows), ncols, tuple(order), sorted(variables))
+        )
+        point = sample_eval_point(ctx, variables, budget, tag)
+        dom = point.domain
+        rows = [
+            [entry.evaluate(point.assignment, dom) for entry in row]
+            for row in poly_rows
+        ]
+    ranks, pivots = _profile_over(
+        len(rows), order, lambda col: [row[col] for row in rows], dom
     )
-    point = sample_eval_point(ctx, variables, budget, tag)
-    concrete = [
-        [entry.evaluate(point.assignment, point.domain) for entry in row]
-        for row in poly_rows
-    ]
-    return _profile_over(concrete, order, point.domain)
+    return ranks, frozenset(pivots)
 
 
 def matrix_rank(rows: Sequence[Sequence], domain=None) -> int:
     """Rank of a matrix of raw scalars over the given domain (default ZZ)."""
     if not rows:
         return 0
-    ranks, _ = _profile_over(rows, range(len(rows[0])), domain if domain is not None else ZZ)
+    dom = domain if domain is not None else ZZ
+    ranks, _ = _profile_over(
+        len(rows), range(len(rows[0])), lambda col: [row[col] for row in rows], dom
+    )
     return ranks[-1]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .combstruct import KSubset, UniformHypergraph, k_subsets
@@ -39,8 +39,8 @@ from .field import (
     FieldContext,
     MultiPoly,
     PolynomialRing,
-    ProfileState,
     ZZ,
+    _profile_over,
     degree_budget,
     matrix_rank,
     sample_eval_point,
@@ -402,96 +402,88 @@ def _degree_budget(g: GenericMatrix, S: UniformHypergraph) -> int:
     return degree_budget(S.k * max(1, g.degree_bound), S.m, ncols)
 
 
-def _offer_columns(state: ProfileState, columns, get_column, m: int):
-    """Feed columns until rank m; returns (ranks, pivot columns)."""
-    ranks = [0]
-    pivots = []
-    rank = 0
-    for idx, col in enumerate(columns):
-        if rank >= m:
-            ranks.extend([rank] * (len(columns) - idx))
-            break
-        if state.offer(get_column(col)):
-            pivots.append(col)
-            rank += 1
-        ranks.append(rank)
-    return tuple(ranks), tuple(pivots)
+def _invertible_evaluation(g: GenericMatrix, budget: int, tag: str, ctx: FieldContext):
+    """g evaluated at a point where it is invertible, and the point's domain.
 
-
-def _shift_symbolic(g: GenericMatrix, S: UniformHypergraph, char: int):
-    dom = PolynomialRing(char)
-    entries = g.entries
-    if char:
-        entries = tuple(tuple(e.reduce_mod(char) for e in row) for row in entries)
-    if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
-        raise MatrixNotInvertibleError(
-            "matrix is singular over the symbolic coefficient ring"
-        )
-    columns = k_subsets(S.n, S.k)
-    wedge_rows = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
-    state = ProfileState(dom, S.m)
-    return _offer_columns(
-        state,
-        columns,
-        lambda col: [row.get(col.bits, MultiPoly.zero()) for row in wedge_rows],
-        S.m,
-    )
-
-
-def _shift_at_point(g: GenericMatrix, S: UniformHypergraph, point: EvalPoint):
-    """Randomized-path elimination at a fixed evaluation point."""
-    dom = point.domain
-    concrete = evaluate_matrix(g, point)
-    columns = k_subsets(S.n, S.k)
-    wedge_rows = [_wedge_rows(concrete, edge, S.n, dom) for edge in S.edges]
-    state = ProfileState(dom, S.m)
-    return _offer_columns(
-        state,
-        columns,
-        lambda col: [row.get(col.bits, dom.zero) for row in wedge_rows],
-        S.m,
-    )
-
-
-def _invertible_point(
-    g: GenericMatrix, budget: int, tag: str, ctx: FieldContext
-) -> EvalPoint:
-    """First of up to 1 + INVERTIBILITY_RETRIES points where g is invertible."""
-    for attempt in range(1 + INVERTIBILITY_RETRIES):
+    Up to 1 + INVERTIBILITY_RETRIES points are tried.  A matrix without
+    variables evaluates the same at every point, so it gets one.
+    """
+    attempts = 1 + INVERTIBILITY_RETRIES if g.variables else 1
+    for attempt in range(attempts):
         point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
-        if g.unit_determinant:
-            return point
-        if matrix_rank(evaluate_matrix(g, point), point.domain) == g.n:
-            return point
+        entries = evaluate_matrix(g, point)
+        if g.unit_determinant or matrix_rank(entries, point.domain) == g.n:
+            return entries, point.domain
+    if not g.variables:
+        raise MatrixNotInvertibleError("constant matrix is singular")
     raise MatrixNotInvertibleError(
         "matrix evaluated to a singular matrix at "
-        f"{1 + INVERTIBILITY_RETRIES} independent random point(s)"
+        f"{attempts} independent random point(s)"
     )
 
 
-def _shift_randomized(g: GenericMatrix, S: UniformHypergraph, ctx: FieldContext):
-    tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
-    point = _invertible_point(g, _degree_budget(g, S), tag, ctx)
-    return _shift_at_point(g, S, point)
+def _eliminate(entries, S: UniformHypergraph, dom):
+    """Rank sequence and pivot columns of the compound rows S of ``entries``."""
+    wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
+    zero = dom.zero
+    return _profile_over(
+        S.m,
+        k_subsets(S.n, S.k),
+        lambda col: [row.get(col.bits, zero) for row in wedges],
+        dom,
+    )
 
 
-def _layer_profile(g: GenericMatrix, S: UniformHypergraph, eliminate):
-    """Profile of S under g, calling ``eliminate()`` unless S is trivial.
+def _shift_profiles(
+    g: GenericMatrix,
+    layers: Sequence[UniformHypergraph],
+    tag: str,
+    ctx: FieldContext,
+) -> list[tuple[tuple[int, ...], UniformHypergraph]]:
+    """(rank sequence, shifted family) of every layer under the same g.
 
-    An empty family, or a complete one under a matrix known to be
-    invertible, shifts to itself without elimination.  Otherwise the
-    elimination must find one pivot per edge.
+    An empty layer, or a complete one under a symbolically invertible g,
+    shifts to itself without elimination.  Only if some layer is left is g
+    made concrete, once: reduced mod p and checked for invertibility on the
+    symbolic backend, or evaluated at one point for the call ``tag`` with
+    the budget summed over all layers on the randomized backend.  Each
+    remaining layer must then find one pivot per edge.
     """
-    m, ncols = S.m, len(k_subsets(S.n, S.k))
-    if m == 0 or (m == ncols and g.symbolically_invertible):
-        return tuple(range(m + 1)) + (m,) * (ncols - m), S
-    ranks, pivots = eliminate()
-    if len(pivots) != m:
-        raise MatrixNotInvertibleError(
-            f"shift produced {len(pivots)} pivots for {m} edges; "
-            "the matrix cannot be invertible"
-        )
-    return ranks, UniformHypergraph(S.n, S.k, tuple(pivots))
+    if any(S.n != g.n for S in layers):
+        raise MathPreconditionError("matrix and hypergraph sizes differ")
+    profiles = []
+    for S in layers:
+        m, ncols = S.m, len(k_subsets(S.n, S.k))
+        if m == 0 or (m == ncols and g.symbolically_invertible):
+            profiles.append((tuple(range(m + 1)) + (m,) * (ncols - m), S))
+        else:
+            profiles.append(None)
+    if all(profiles):
+        return profiles
+    if ctx.backend is Backend.SYMBOLIC:
+        char = ctx.characteristic.value
+        dom = PolynomialRing(char)
+        entries = g.entries
+        if char:
+            entries = tuple(tuple(e.reduce_mod(char) for e in row) for row in entries)
+        if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
+            raise MatrixNotInvertibleError(
+                "matrix is singular over the symbolic coefficient ring"
+            )
+    else:
+        budget = sum(_degree_budget(g, S) for S in layers)
+        entries, dom = _invertible_evaluation(g, budget, tag, ctx)
+    for i, S in enumerate(layers):
+        if profiles[i] is not None:
+            continue
+        ranks, pivots = _eliminate(entries, S, dom)
+        if len(pivots) != S.m:
+            raise MatrixNotInvertibleError(
+                f"shift produced {len(pivots)} pivots for {S.m} edges; "
+                "the matrix cannot be invertible"
+            )
+        profiles[i] = (ranks, UniformHypergraph(S.n, S.k, tuple(pivots)))
+    return profiles
 
 
 def exterior_shift_profile(
@@ -502,13 +494,8 @@ def exterior_shift_profile(
     The rank sequence starts at 0 and increases by at most 1 per k-subset
     column; the shifted hypergraph collects the columns where it steps.
     """
-    if g.n != S.n:
-        raise MathPreconditionError("matrix and hypergraph sizes differ")
-    if ctx.backend is Backend.SYMBOLIC:
-        eliminate = partial(_shift_symbolic, g, S, ctx.characteristic.value)
-    else:
-        eliminate = partial(_shift_randomized, g, S, ctx)
-    return _layer_profile(g, S, eliminate)
+    tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
+    return _shift_profiles(g, [S], tag, ctx)[0]
 
 
 def shift_layers(
@@ -519,18 +506,10 @@ def shift_layers(
 ) -> list[UniformHypergraph]:
     """Shift several families by the same matrix g.
 
-    Randomized runs draw one point for the call ``tag`` with the budget
-    summed over all layers, so a single evaluation of g shifts every layer.
+    g is made concrete once for all layers; randomized runs draw one point
+    for the call ``tag`` with the budget summed over all layers.
     """
-    if any(S.n != g.n for S in layers):
-        raise MathPreconditionError("matrix and hypergraph sizes differ")
-    if ctx.backend is Backend.SYMBOLIC:
-        return [exterior_shift(g, S, ctx) for S in layers]
-    point = _invertible_point(g, sum(_degree_budget(g, S) for S in layers), tag, ctx)
-    return [
-        _layer_profile(g, S, partial(_shift_at_point, g, S, point))[1]
-        for S in layers
-    ]
+    return [shifted for _, shifted in _shift_profiles(g, layers, tag, ctx)]
 
 
 def exterior_shift(
@@ -603,10 +582,10 @@ def _southwest_ranks(rows: list[list], domain) -> list[list[int]]:
     table = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
         block = rows[i - 1 :]
-        state = ProfileState(domain, len(block))
-        for j in range(1, n + 1):
-            state.offer([row[j - 1] for row in block])
-            table[i][j] = state.rank
+        ranks, _ = _profile_over(
+            len(block), range(n), lambda j: [row[j] for row in block], domain
+        )
+        table[i] = list(ranks)
     return table
 
 

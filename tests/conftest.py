@@ -166,7 +166,9 @@ def random_unit_upper(n: int, gen: random.Random, bound: int = 9):
     """A random upper-triangular integer matrix with nonzero diagonal."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = gen.choice([v for v in range(-bound, bound + 1) if v])
+        # one draw from the 2 * bound nonzero values in [-bound, bound]
+        v = gen.choice(range(-bound, bound))
+        rows[i][i] = v + (v >= 0)
         for j in range(i + 1, n):
             rows[i][j] = gen.randint(-bound, bound)
     return rows

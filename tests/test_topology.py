@@ -12,6 +12,7 @@ from shiftlab import (
     InternalError,
     MathPreconditionError,
     MatrixNotInvertibleError,
+    MultiPoly,
     Permutation,
     ScanReport,
     SimplicialComplex,
@@ -19,8 +20,10 @@ from shiftlab import (
     betti_numbers,
     betti_via_full_shift,
     build_shift_graph,
+    cell_representative,
     complex_from_layers,
     conjecture_scan,
+    exterior_shift,
     generic_matrix,
     identity_matrix,
     is_near_cone,
@@ -33,8 +36,10 @@ from shiftlab import (
     random_complexes,
     shift_complex,
     shift_complex_by_matrix,
+    vandermonde_matrix,
     weak_order_geq,
 )
+from shiftlab import shiftcore
 from shiftlab.topology import ComplexScanResult, GraphScanResult
 
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
@@ -261,9 +266,10 @@ def test_shift_complex_edge_cases():
     assert shift_complex_by_matrix(K, identity_matrix(6), RND) == K
     sing = matrix_from_entries([[1, 1, 1], [1, 1, 1], [0, 0, 1]])
     triangle = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
-    for ctx in (SYM, RND):
-        with pytest.raises(MatrixNotInvertibleError):
-            shift_complex_by_matrix(triangle, sing, ctx)
+    with pytest.raises(MatrixNotInvertibleError):
+        shift_complex_by_matrix(triangle, sing, SYM)
+    with pytest.raises(MatrixNotInvertibleError, match="^constant matrix is singular$"):
+        shift_complex_by_matrix(triangle, sing, RND)
 
 
 def test_shift_complex_backends_agree():
@@ -271,8 +277,28 @@ def test_shift_complex_backends_agree():
         w = Permutation.longest(K.n)
         assert shift_complex(K, w, SYM) == shift_complex(K, w, RND)
     K = SimplicialComplex.from_facets(4, [[1, 2, 3], [2, 3, 4]])
-    g = generic_matrix(4)
-    assert shift_complex_by_matrix(K, g, SYM) == shift_complex_by_matrix(K, g, RND)
+    x = MultiPoly.variable
+    unflagged = matrix_from_entries(
+        [[x(1, 1), 1, 0, 2], [0, x(2, 2), 1, 0], [1, 0, x(3, 3), 1], [x(4, 1), 0, 0, 1]]
+    )
+    for g in (generic_matrix(4), unflagged, vandermonde_matrix(4)):
+        layers = [exterior_shift(g, layer, RND) for layer in K.layers()]
+        for ctx in (SYM, RND):
+            assert shift_complex_by_matrix(K, g, ctx) == complex_from_layers(layers)
+
+
+def test_shifting_trivial_layers_draws_no_point(monkeypatch):
+    # every layer of the full 2-skeleton is complete, so a unit-determinant
+    # matrix leaves it as it is without evaluating anything
+    K = SimplicialComplex.from_facets(5, itertools.combinations(range(1, 6), 3))
+    calls = []
+    sample = shiftcore.sample_eval_point
+    monkeypatch.setattr(
+        shiftcore, "sample_eval_point", lambda *a: calls.append(a) or sample(*a)
+    )
+    g = cell_representative(Permutation.longest(5))
+    assert shift_complex_by_matrix(K, g, RND) == K
+    assert calls == []
 
 
 # ------------------------------------------------------------ certificates
