@@ -167,7 +167,7 @@ def _context_of(args) -> FieldContext:
 
 
 _NAMED_MATRIX = re.compile(r"(vandermonde|generic|unipotent)(\d+)")
-_VARIABLE_ENTRY = re.compile(r"x(\d+),(\d+)")
+_VARIABLE_ENTRY = re.compile(r"x([1-9]\d*),([1-9]\d*)")
 
 
 def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
@@ -204,10 +204,11 @@ def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
                 var = _VARIABLE_ENTRY.fullmatch(e.strip())
                 if not var:
                     raise InputFormatError(
-                        f"bad matrix entry {e!r}: use an integer or \"xi,j\""
+                        f"bad matrix entry {e!r}: use an integer or \"xi,j\" "
+                        "with positive i, j"
                     )
                 out.append(MultiPoly.variable(int(var.group(1)), int(var.group(2))))
-            elif isinstance(e, int):
+            elif type(e) is int:  # JSON true and false are not entries
                 out.append(MultiPoly.const(e))
             else:
                 raise InputFormatError(f"bad matrix entry {e!r}")
@@ -331,6 +332,7 @@ def _cmd_reproduce(args) -> int:
     results = run_targets(args.names, seed=_seed_of(args))
     for result in results:
         sys.stdout.write(result.line() + "\n")
+        sys.stderr.write(f"{result.name}: {result.seconds:.2f}s\n")
     return 0 if all(r.ok for r in results) else 1
 
 

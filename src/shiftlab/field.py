@@ -534,7 +534,6 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _find_irreducible(p: int, e: int, seed: int) -> tuple[int, ...]:
     """Deterministic rejection sampling of a monic irreducible of degree e."""
     stream = DeterministicStream("irreducible", p, e, seed)

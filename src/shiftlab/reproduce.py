@@ -80,7 +80,7 @@ class TargetResult:
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        return f"{status} {self.name} ({self.seconds:.2f}s): {self.detail}"
+        return f"{status} {self.name}: {self.detail}"
 
 
 def _edges(entry: list) -> list[tuple[int, ...]]:

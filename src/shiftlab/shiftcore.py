@@ -80,6 +80,10 @@ __all__ = [
 # times before the matrix is declared non-invertible.
 INVERTIBILITY_RETRIES = 4
 
+# Partial shifts kept across calls, most recent first: a repeated (S, w, ctx)
+# costs no second elimination, and no graph build keeps more than this many.
+PARTIAL_SHIFT_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class GenericMatrix:
@@ -519,7 +523,7 @@ def exterior_shift(
     return exterior_shift_profile(g, S, ctx)[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARTIAL_SHIFT_CACHE_SIZE)
 def _partial_shift_cached(S: UniformHypergraph, w: Permutation, ctx: FieldContext):
     return exterior_shift_profile(cell_representative(w), S, ctx)
 
@@ -533,14 +537,13 @@ def partial_shift(
     gives the full shift; in between, longer permutations push S further
     toward its fully shifted image.
     """
-    if w.n != S.n:
-        raise MathPreconditionError("permutation size must match the hypergraph")
-    return _partial_shift_cached(S, w, ctx)[1]
+    return partial_shift_profile(S, w, ctx)[1]
 
 
 def partial_shift_profile(
     S: UniformHypergraph, w: Permutation, ctx: FieldContext
 ) -> tuple[tuple[int, ...], UniformHypergraph]:
+    """Rank sequence and shifted family of the partial shift of S by w."""
     if w.n != S.n:
         raise MathPreconditionError("permutation size must match the hypergraph")
     return _partial_shift_cached(S, w, ctx)

@@ -248,8 +248,14 @@ def build_shift_graph_from(
 
 
 def contract(g: ShiftGraph, ctx: FieldContext) -> ContractedShiftGraph:
-    """Quotient by equality of full shifts; keep edges between classes."""
-    reps = {S: full_shift(S, ctx) for S in g.nodes}
+    """Quotient by equality of full shifts; keep edges between classes.
+
+    Full shifts are read off the edges witnessed by w0, the last witness in
+    one-line order; only a node without one, which w0 fixes, is shifted here.
+    """
+    w0 = Permutation.longest(g.n)
+    moved = {g.nodes[a]: g.nodes[b] for (a, b), ws in g.edges.items() if ws[-1] == w0}
+    reps = {S: moved[S] if S in moved else full_shift(S, ctx) for S in g.nodes}
     class_nodes = tuple(sorted(set(reps.values()), key=_node_sort_key))
     index = {S: i for i, S in enumerate(class_nodes)}
     edges = set()

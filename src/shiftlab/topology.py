@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Callable, Iterable, Sequence
 
 from .combstruct import (
     SimplicialComplex,
@@ -116,7 +116,6 @@ def _boundary_matrix(K: SimplicialComplex, s: int, domain):
     return matrix
 
 
-@lru_cache(maxsize=None)
 def betti_numbers(K: SimplicialComplex, characteristic: int = 0) -> BettiVector:
     """Betti numbers over the field of the given characteristic.
 
@@ -182,16 +181,12 @@ def betti_via_full_shift(K: SimplicialComplex, ctx: FieldContext) -> BettiVector
     if dim < 0:
         return BettiVector(char, ())
 
-    def ones(layer: UniformHypergraph) -> int:
-        shifted = full_shift(layer, ctx)
-        return sum(1 for e in shifted.edges if e.contains(1))
-
-    values = []
     layers = K.layers()
-    for k in range(dim + 1):
-        count = layers[k].m
-        upper = ones(layers[k + 1]) if k + 1 <= dim else 0
-        values.append(count - upper - ones(layers[k]))
+    ones = [
+        sum(1 for e in full_shift(layer, ctx).edges if e.contains(1))
+        for layer in layers
+    ] + [0]  # no layer above the top one
+    values = [layers[k].m - ones[k + 1] - ones[k] for k in range(dim + 1)]
     values[0] += 1
     return BettiVector(char, tuple(values))
 
@@ -229,11 +224,6 @@ def shift_complex_by_matrix(
     return _reassemble(K, shift_layers(g, K.layers(), tag, ctx))
 
 
-@lru_cache(maxsize=None)
-def _shift_complex_cached(K: SimplicialComplex, w: Permutation, ctx: FieldContext):
-    return shift_complex_by_matrix(K, cell_representative(w), ctx)
-
-
 def shift_complex(
     K: SimplicialComplex, w: Permutation, ctx: FieldContext
 ) -> SimplicialComplex:
@@ -242,7 +232,7 @@ def shift_complex(
         raise MathPreconditionError("permutation size must match the complex")
     if w.is_identity or K.dim < 0:
         return K
-    return _shift_complex_cached(K, w, ctx)
+    return shift_complex_by_matrix(K, cell_representative(w), ctx)
 
 
 def preserves_betti_certificate(w: Permutation) -> bool:
@@ -325,9 +315,12 @@ class ScanReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _scan_complex(K: SimplicialComplex, ctx: FieldContext) -> ComplexScanResult:
-    char = ctx.characteristic.value
-    base = betti_numbers(K, char)
+def _scan_complex(
+    K: SimplicialComplex,
+    ctx: FieldContext,
+    betti: Callable[[SimplicialComplex], BettiVector],
+) -> ComplexScanResult:
+    base = betti(K)
     violations = []
     preserving = []
     checked = 0
@@ -337,7 +330,7 @@ def _scan_complex(K: SimplicialComplex, ctx: FieldContext) -> ComplexScanResult:
         else:
             shifted = shift_complex(K, w, ctx)
         checked += 1
-        image = betti_numbers(shifted, char)
+        image = betti(shifted)
         if image.values == base.values:
             preserving.append(w.images)
         if any(b < a for a, b in zip(base.values, image.values)):
@@ -384,9 +377,15 @@ def conjecture_scan(
     For each complex, shifts by all permutations of its vertex set and
     compares Betti vectors componentwise; for each (n, k, m) triple (or
     prebuilt shift graph), contracts and checks acyclicity.  Results are
-    reported with provenance; nothing is asserted.
+    reported with provenance; nothing is asserted.  A complex given twice
+    is scanned once, and each distinct complex met during the call, input
+    or shifted image, is ranked once.
     """
-    complex_results = tuple(_scan_complex(K, ctx) for K in complexes)
+    char = ctx.characteristic.value
+    # both memos live for this call only
+    betti = cache(lambda K: betti_numbers(K, char))
+    scan = cache(lambda K: _scan_complex(K, ctx, betti))
+    complex_results = tuple(scan(K) for K in complexes)
     graph_results = [
         _scan_graph(tuple(params), ctx) for params in graph_params
     ]
@@ -408,7 +407,7 @@ def conjecture_scan(
             )
         )
     return ScanReport(
-        characteristic=ctx.characteristic.value,
+        characteristic=char,
         complexes=complex_results,
         graphs=tuple(graph_results),
     )

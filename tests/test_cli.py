@@ -145,6 +145,12 @@ def test_shift_error_exits(tmp_path, capsys):
     small.write_text(json.dumps({"n": 2, "k": 1, "edges": [[2]]}))
     code, _, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(sing))
     assert code == 3 and "error" in err
+    # variable indices start at 1, and JSON booleans are not integers
+    for entry, message in (("x0,1", "positive"), (True, "bad matrix entry True")):
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"n": 2, "entries": [[entry, 0], [0, 1]]}))
+        code, _, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(mat))
+        assert code == 2 and message in err
     # wrong-size named family
     code, _, _ = run_cli(capsys, "shift", "-i", str(good), "--matrix", "vandermonde5")
     assert code == 2
@@ -310,8 +316,11 @@ def test_reproduce_list_and_fast_target(capsys):
     names = [line.split()[0] for line in out.splitlines()]
     assert names == available_targets()
     assert len(names) == 8
-    out = run_ok(capsys, "reproduce", "two-edge-routes")
-    assert out.startswith("PASS two-edge-routes (")
+    code, out, err = run_cli(capsys, "reproduce", "two-edge-routes")
+    assert code == 0 and out.startswith("PASS two-edge-routes: ")
+    # the seconds go to stderr, so stdout repeats byte for byte
+    assert err.startswith("two-edge-routes: ") and err.endswith("s\n")
+    assert run_ok(capsys, "reproduce", "two-edge-routes") == out
     code, _, err = run_cli(capsys, "reproduce", "no-such-target")
     assert code == 2 and "unknown reproduce target" in err
     code, _, err = run_cli(capsys, "reproduce")

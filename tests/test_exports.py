@@ -1,7 +1,8 @@
 """Names that other code looks up in shiftlab modules are defined there.
 
 These are the names in each module's ``__all__`` and the call sites that
-the benchmark's tracer (``bench/spans.py``) patches by name.
+the benchmark's tracer (``bench/spans.py``) patches by name.  The package
+also keeps an inventory of its process-wide caches here.
 """
 
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+from shiftlab import shiftcore
 
 MODULES = ["shiftlab"] + [
     f"shiftlab.{info.name}" for info in pkgutil.iter_modules(shiftlab.__path__)
@@ -43,3 +45,21 @@ def test_every_traced_call_site_resolves():
         if owner is None:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_process_wide_caches_are_keyed_or_bounded():
+    # results are computed per call, apart from a bounded window of recent
+    # partial shifts; only the k-subset lists, the extension fields per
+    # (p, e, seed) and the golden-data loaders live on without a bound
+    sizes = {}
+    for module_name in MODULES:
+        module = importlib.import_module(module_name)
+        owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+        for owner in owners:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_info"):
+                    sizes[value.__qualname__] = value.cache_info().maxsize
+    unbounded = {name for name, size in sizes.items() if size is None}
+    assert unbounded == {"k_subsets", "_gf_extension_cached", "golden_data", "golden_graph_json"}
+    bounded = {name: size for name, size in sizes.items() if size is not None}
+    assert bounded == {"_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE}

@@ -29,6 +29,7 @@ from shiftlab import (
     partial_shift,
     sinks,
 )
+from shiftlab import shiftgraph
 
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
 RND2 = make_field_context(2, Backend.RANDOMIZED, seed=0)
@@ -193,6 +194,26 @@ def test_contract_in_characteristic_two(g422):
         assert is_shifted(S)
     ok, _ = is_acyclic(c)
     assert ok
+
+
+def test_contract_reads_full_shifts_off_the_graph(g423, monkeypatch):
+    shifted = []
+    full = shiftgraph.full_shift
+    monkeypatch.setattr(
+        shiftgraph, "full_shift", lambda S, ctx: shifted.append(S) or full(S, ctx)
+    )
+    c = contract(g423, RND)
+    # every other node has an edge witnessed by w0, whose target is its
+    # full shift; only the shifted nodes, which w0 fixes, are shifted again
+    assert shifted == [S for S in g423.nodes if is_shifted(S)]
+    assert set(c.nodes) == set(shifted)
+    # out of order, w0 is no longer the last witness; the nodes whose edge
+    # it hides are shifted instead, and the quotient is the same
+    unsorted = ShiftGraph(
+        n=4, k=2, m=3, nodes=g423.nodes,
+        edges={e: ws[::-1] for e, ws in g423.edges.items()},
+    )
+    assert contract(unsorted, RND) == c
 
 
 # ------------------------------------------------------------- export

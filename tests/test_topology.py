@@ -1,5 +1,6 @@
 """Betti numbers, complex shifting, certificates, and conjecture scans."""
 
+import hashlib
 import itertools
 import json
 
@@ -39,7 +40,7 @@ from shiftlab import (
     vandermonde_matrix,
     weak_order_geq,
 )
-from shiftlab import shiftcore
+from shiftlab import shiftcore, topology
 from shiftlab.topology import ComplexScanResult, GraphScanResult
 
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
@@ -237,6 +238,17 @@ def test_betti_via_full_shift_agrees_with_boundary_ranks():
     assert betti_via_full_shift(K, RND2).values == (1, 1, 1)
 
 
+def test_betti_via_full_shift_shifts_each_layer_once(monkeypatch):
+    shifted = []
+    full = topology.full_shift
+    monkeypatch.setattr(
+        topology, "full_shift", lambda S, ctx: shifted.append(S) or full(S, ctx)
+    )
+    K = _rp2()
+    assert betti_via_full_shift(K, RND).values == (1, 0, 0)
+    assert shifted == K.layers()
+
+
 # --------------------------------------------------------- complex shifts
 
 
@@ -373,6 +385,34 @@ def test_conjecture_scan_structure():
     assert report.to_json() == conjecture_scan([hollow], RND, graph_params=[(3, 2, 2)]).to_json()
     payload = json.loads(report.to_json())
     assert payload["char"] == 0 and len(payload["complexes"]) == 1
+
+
+def test_conjecture_scan_reuses_work_within_one_call(monkeypatch):
+    shifted, ranked = [], []
+    shift, betti = topology.shift_complex, topology.betti_numbers
+
+    def counted_shift(K, w, ctx):
+        shifted.append(shift(K, w, ctx))
+        return shifted[-1]
+
+    monkeypatch.setattr(topology, "shift_complex", counted_shift)
+    monkeypatch.setattr(
+        topology, "betti_numbers", lambda K, char: ranked.append(K) or betti(K, char)
+    )
+    K = SimplicialComplex.from_facets(4, [[1, 2], [1, 3], [2, 3], [3, 4]])
+    report = conjecture_scan([K, K], RND)
+    # a repeated complex is scanned once, and each distinct complex is
+    # ranked once: the input and its distinct shifted images
+    assert len(shifted) == 23
+    assert len(ranked) == len(set(ranked))
+    assert set(ranked) == {K, *shifted}
+    assert report.complexes[0] == report.complexes[1]
+    # the same report, byte for byte, as when results were cached process-wide
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "77cbfc2fc58936647da7b60ef3efc0f4f52be100b96b192936f2b0431fc0cd6a"
+    # nothing carries over into the next call
+    conjecture_scan([K], RND)
+    assert len(shifted) == 46
 
 
 def test_conjecture_scan_accepts_prebuilt_graphs():
