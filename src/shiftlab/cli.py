@@ -187,9 +187,13 @@ def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
         return builder(n)
     try:
         payload = json.loads(_read_text(spec))
-        n, entries = int(payload["n"]), payload["entries"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        n, entries = payload["n"], payload["entries"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad matrix file {spec!r}: {exc}") from exc
+    if type(n) is not int:  # neither 2.7 nor JSON true is a size
+        raise InputFormatError(
+            f"bad matrix file {spec!r}: n must be an integer, not {n!r}"
+        )
     if n != expected_n:
         raise InputFormatError(
             f"matrix file has n={n}, input needs n={expected_n}"

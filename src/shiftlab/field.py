@@ -1024,6 +1024,10 @@ class ProfileState:
     elimination.  Zero tests are exact in both cases.
     """
 
+    # one state per independent column set is kept while all the cells of a
+    # family are shifted, so instances carry no attribute dict
+    __slots__ = ("dom", "m", "pivot_rows", "_stack", "_fraction_free")
+
     def __init__(self, domain, nrows: int):
         self.dom = domain
         self.m = nrows
@@ -1034,6 +1038,19 @@ class ProfileState:
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
+
+    def copy(self) -> "ProfileState":
+        """An independent state with the same pivots.
+
+        Offers never mutate a column once it is stacked, so the twin shares
+        them and costs two list copies.
+        """
+        twin = ProfileState.__new__(ProfileState)
+        twin.dom, twin.m = self.dom, self.m
+        twin._fraction_free = self._fraction_free
+        twin.pivot_rows = self.pivot_rows.copy()
+        twin._stack = self._stack.copy()
+        return twin
 
     def offer(self, column: Sequence) -> bool:
         if self.rank >= self.m:

@@ -12,9 +12,11 @@ Partial shifts arise from the Bruhat decomposition: every permutation w
 yields a canonical cell representative built from a unipotent matrix whose
 free entries sit precisely at the inversions of w, and shifting by that
 representative interpolates between doing nothing (identity) and the full
-shift (longest permutation).  Combinatorial shifts by transpositions are
-the classic set-replacement operators and coincide with exterior shifts by
-small structured matrices.
+shift (longest permutation).  ``all_partial_shifts`` reads the partial
+shifts by all n! cells off one generic unipotent matrix, in whose compound
+only the column order differs from cell to cell.  Combinatorial shifts by
+transpositions are the classic set-replacement operators and coincide with
+exterior shifts by small structured matrices.
 
 Matrix entries are sparse integer polynomials; a FieldContext chooses
 between exact symbolic elimination and seeded randomized evaluation.
@@ -39,13 +41,14 @@ from .field import (
     FieldContext,
     MultiPoly,
     PolynomialRing,
+    ProfileState,
     ZZ,
     _profile_over,
     degree_budget,
     matrix_rank,
     sample_eval_point,
 )
-from .symgroup import Permutation
+from .symgroup import Permutation, all_permutations
 
 __all__ = [
     "GenericMatrix",
@@ -68,6 +71,7 @@ __all__ = [
     "partial_shift",
     "partial_shift_profile",
     "full_shift",
+    "all_partial_shifts",
     "shift_layers",
     "combinatorial_shift",
     "bruhat_cell",
@@ -552,6 +556,147 @@ def partial_shift_profile(
 def full_shift(S: UniformHypergraph, ctx: FieldContext) -> UniformHypergraph:
     """Shift by the longest permutation; the result is shifted."""
     return partial_shift(S, Permutation.longest(S.n), ctx)
+
+
+# ------------------------------------------------------ all cells at once
+
+
+def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The order in which every cell offers the columns of compound(U).
+
+    Row i belongs to the i-th permutation w of ``all_permutations(n)``.  Its
+    t-th entry is the lex index of w^-1 applied to the t-th k-subset: column
+    t of compound(U . P_w) is that column of compound(U), up to sign.
+    """
+    columns = k_subsets(n, k)
+    index = {col.bits: i for i, col in enumerate(columns)}
+    elements = [col.elements() for col in columns]
+    table = []
+    for w in all_permutations(n):
+        preimage_bit = [0] * (n + 1)
+        for i, image in enumerate(w.images):
+            preimage_bit[image] = 1 << i
+        table.append(
+            tuple(index[sum(preimage_bit[c] for c in elems)] for elems in elements)
+        )
+    return tuple(table)
+
+
+def _lex_first_bases(
+    entries, S: UniformHypergraph, dom, orders: Sequence[Sequence[int]]
+) -> list[UniformHypergraph]:
+    """The shift of S under each column order of ``M_S = compound(U)[S, :]``.
+
+    For every order, the greedy keeps a column when it is independent of the
+    columns kept so far, and the shift collects the lex positions kept.  The
+    decision depends only on (kept set, column), so it is memoized per kept
+    set, a bitmask of columns: one ProfileState for the set, and a bitmask
+    of the columns found to depend on it.  A column j is independent of a
+    kept set whenever the set grown by j has a state of its own.  Copying a
+    state before an offer leaves it intact when the offer is accepted.
+    """
+    wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
+    columns = k_subsets(S.n, S.k)
+    zero = dom.zero
+    matrix = [[row.get(col.bits, zero) for row in wedges] for col in columns]
+    m = S.m
+    states = {0: ProfileState(dom, m)}
+    dependent: dict[int, int] = {}
+    families: dict[int, UniformHypergraph] = {}
+    out = []
+    for order in orders:
+        kept = positions = rank = 0
+        for t, j in enumerate(order):
+            grown = kept | 1 << j
+            if grown not in states:
+                if dependent.get(kept, 0) >> j & 1:
+                    continue
+                state = states[kept].copy()
+                if not state.offer(matrix[j]):
+                    dependent[kept] = dependent.get(kept, 0) | 1 << j
+                    continue
+                states[grown] = state
+            kept = grown
+            positions |= 1 << t
+            rank += 1
+            if rank == m:
+                break
+        if rank != m:
+            raise MatrixNotInvertibleError(
+                f"shift produced {rank} pivots for {m} edges; "
+                "the matrix cannot be invertible"
+            )
+        if positions not in families:
+            families[positions] = UniformHypergraph(
+                S.n,
+                S.k,
+                tuple(col for t, col in enumerate(columns) if positions >> t & 1),
+            )
+        out.append(families[positions])
+    return out
+
+
+def all_partial_shifts(
+    layers: Sequence[UniformHypergraph],
+    ctx: FieldContext,
+    orders: dict | None = None,
+) -> dict[Permutation, list[UniformHypergraph]]:
+    """The partial shift of every layer by every w, in ``all_permutations`` order.
+
+    The randomized backend draws one point for a generic unipotent U, keyed
+    on (seed, layers) with the budget summed over the layers as
+    ``shift_layers`` sums it, evaluates U once and builds
+    ``M_S = compound(U)[S, :]`` once per layer.  The shift of S by w is then
+    the lex-first column basis of M_S with lex column sigma read as column
+    w^-1(sigma).  This is exact:
+
+    - ``coset_normalize`` splits U.P_w into u'.P_w.u'', with u' supported on
+      the inversions of w and u'' upper unitriangular.  Setting U's entries
+      off the inversions to zero makes u' = U, so u' is generic in its cell.
+    - The k-th compound of an upper triangular matrix is upper triangular in
+      lex order, so right-multiplying by u'' keeps every prefix column span
+      of the compound rows S.  The shift by U.P_w therefore equals the
+      partial shift by w.
+    - Column sigma of compound(U.P_w) is +-column w^-1(sigma) of
+      compound(U).  Each cell's rank decisions are one nonzero polynomial in
+      U's entries of degree at most ``degree_budget(k, m, C(n, k))``, the
+      budget of the cell representative.  So the per-cell error bound and
+      the (n! - 1)-fold union bound over a family's cells are those of
+      per-cell shifting, over the same field.
+
+    Each greedy decision is memoized within the call (see
+    ``_lex_first_bases``).  The symbolic backend shifts cell by cell with
+    ``shift_layers`` and stays the independent oracle.  ``orders`` keeps the
+    column orders per (n, k) for callers that shift many families; it is
+    filled on first use.
+    """
+    if not layers:
+        raise MathPreconditionError("all_partial_shifts needs at least one layer")
+    n = layers[0].n
+    if any(S.n != n for S in layers):
+        raise MathPreconditionError("layers live on different vertex sets")
+    perms = list(all_permutations(n))
+    tag = f"all_cells:{n}:{[(S.k, tuple(e.bits for e in S.edges)) for S in layers]!r}"
+    if ctx.backend is Backend.SYMBOLIC:
+        return {
+            w: shift_layers(cell_representative(w), layers, tag, ctx) for w in perms
+        }
+    # empty and complete layers shift to themselves, as in _shift_profiles
+    fixed = [S.m in (0, len(k_subsets(n, S.k))) for S in layers]
+    U = generic_unipotent(n)
+    if not all(fixed):
+        budget = sum(_degree_budget(U, S) for S in layers)
+        entries, dom = _invertible_evaluation(U, budget, tag, ctx)
+    orders = {} if orders is None else orders
+    shifted = []
+    for S, is_fixed in zip(layers, fixed):
+        if is_fixed:
+            shifted.append([S] * len(perms))
+            continue
+        if (n, S.k) not in orders:
+            orders[n, S.k] = _cell_column_orders(n, S.k)
+        shifted.append(_lex_first_bases(entries, S, dom, orders[n, S.k]))
+    return {w: [images[i] for images in shifted] for i, w in enumerate(perms)}
 
 
 def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergraph:

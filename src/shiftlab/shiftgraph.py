@@ -28,8 +28,12 @@ from typing import Iterable
 from .combstruct import UniformHypergraph, k_subsets
 from .errors import InputFormatError, InternalError, MathPreconditionError
 from .field import FieldContext
-from .shiftcore import full_shift, partial_shift
-from .symgroup import Permutation, all_permutations
+from .shiftcore import (
+    all_partial_shifts,
+    full_shift,
+    partial_shift,  # patched by name in bench/spans.py; unused here
+)
+from .symgroup import Permutation
 
 __all__ = [
     "ShiftGraph",
@@ -162,20 +166,26 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a, b) if 0 <= b <= a else 0
 
 
-def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
-    """All (target, witness) pairs with target different from S."""
+def _shift_edges_of(
+    S: UniformHypergraph, ctx: FieldContext, orders: dict | None = None
+):
+    """All (target, witness) pairs with target different from S.
+
+    ``orders`` is passed on to ``all_partial_shifts``, which fills it with
+    column orders that later nodes of the same build reuse.
+    """
     out: dict[UniformHypergraph, list[Permutation]] = {}
-    for w in all_permutations(S.n):
-        if w.is_identity:
-            continue
-        T = partial_shift(S, w, ctx)
+    for w, (T,) in all_partial_shifts((S,), ctx, orders).items():
         if T != S:
             out.setdefault(T, []).append(w)
     return out
 
 
 def _map_shift_edges(
-    nodes: list[UniformHypergraph], ctx: FieldContext, parallelism: int
+    nodes: list[UniformHypergraph],
+    ctx: FieldContext,
+    parallelism: int,
+    orders: dict,
 ):
     """Per-node successor maps, optionally fanned out over worker processes.
 
@@ -185,8 +195,8 @@ def _map_shift_edges(
     if parallelism < 1:
         raise MathPreconditionError("parallelism must be a positive integer")
     if parallelism == 1 or len(nodes) <= 1:
-        return [_shift_edges_of(S, ctx) for S in nodes]
-    worker = functools.partial(_shift_edges_of, ctx=ctx)
+        return [_shift_edges_of(S, ctx, orders) for S in nodes]
+    worker = functools.partial(_shift_edges_of, ctx=ctx, orders=orders)
     with multiprocessing.Pool(min(parallelism, len(nodes))) as pool:
         return pool.map(worker, nodes)
 
@@ -220,7 +230,8 @@ def build_shift_graph(
         for combo in itertools.combinations(k_subsets(n, k), m)
     ]
     raw_edges: dict = {}
-    for S, successors in zip(nodes, _map_shift_edges(nodes, ctx, parallelism)):
+    successor_maps = _map_shift_edges(nodes, ctx, parallelism, orders={})
+    for S, successors in zip(nodes, successor_maps):
         for T, witnesses in successors.items():
             raw_edges[(S, T)] = witnesses
     return _assemble(n, k, m, nodes, raw_edges)
@@ -233,11 +244,12 @@ def build_shift_graph_from(
     seen = {S}
     frontier = [S]
     raw_edges: dict = {}
+    orders: dict = {}
     while frontier:
         batch = frontier
         frontier = []
         for current, successors in zip(
-            batch, _map_shift_edges(batch, ctx, parallelism)
+            batch, _map_shift_edges(batch, ctx, parallelism, orders)
         ):
             for T, witnesses in successors.items():
                 raw_edges[(current, T)] = witnesses

@@ -45,6 +45,7 @@ from .field import (
 )
 from .shiftcore import (
     GenericMatrix,
+    all_partial_shifts,
     cell_representative,
     evaluate_matrix,  # patched by name in bench/spans.py; unused here
     full_shift,
@@ -66,6 +67,7 @@ __all__ = [
     "betti_via_full_shift",
     "shift_complex",
     "shift_complex_by_matrix",
+    "shift_complex_all_cells",
     "preserves_betti_certificate",
     "conjecture_scan",
     "random_complexes",
@@ -235,6 +237,23 @@ def shift_complex(
     return shift_complex_by_matrix(K, cell_representative(w), ctx)
 
 
+def shift_complex_all_cells(
+    K: SimplicialComplex, ctx: FieldContext, orders: dict | None = None
+) -> dict[Permutation, SimplicialComplex]:
+    """Layer-wise partial shift of K by every permutation, in enumeration order.
+
+    One call of ``all_partial_shifts`` shifts every layer by every cell, so
+    a randomized run draws one point for the whole complex.  The identity
+    maps to K itself.  ``orders`` is passed on to ``all_partial_shifts``.
+    """
+    if K.dim < 0:
+        return {w: K for w in all_permutations(K.n)}
+    return {
+        w: K if w.is_identity else _reassemble(K, layers)
+        for w, layers in all_partial_shifts(K.layers(), ctx, orders).items()
+    }
+
+
 def preserves_betti_certificate(w: Permutation) -> bool:
     """True when w extends the long cycle (1 2 .. n) in the right weak order.
 
@@ -319,16 +338,13 @@ def _scan_complex(
     K: SimplicialComplex,
     ctx: FieldContext,
     betti: Callable[[SimplicialComplex], BettiVector],
+    orders: dict,
 ) -> ComplexScanResult:
     base = betti(K)
     violations = []
     preserving = []
     checked = 0
-    for w in all_permutations(K.n):
-        if w.is_identity:
-            shifted = K
-        else:
-            shifted = shift_complex(K, w, ctx)
+    for w, shifted in shift_complex_all_cells(K, ctx, orders).items():
         checked += 1
         image = betti(shifted)
         if image.values == base.values:
@@ -382,9 +398,10 @@ def conjecture_scan(
     or shifted image, is ranked once.
     """
     char = ctx.characteristic.value
-    # both memos live for this call only
+    # the memos and the column orders live for this call only
     betti = cache(lambda K: betti_numbers(K, char))
-    scan = cache(lambda K: _scan_complex(K, ctx, betti))
+    orders: dict = {}
+    scan = cache(lambda K: _scan_complex(K, ctx, betti, orders))
     complex_results = tuple(scan(K) for K in complexes)
     graph_results = [
         _scan_graph(tuple(params), ctx) for params in graph_params

@@ -151,6 +151,12 @@ def test_shift_error_exits(tmp_path, capsys):
         mat.write_text(json.dumps({"n": 2, "entries": [[entry, 0], [0, 1]]}))
         code, _, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(mat))
         assert code == 2 and message in err
+    # the size is an integer too: 2.7 is not read as 2, nor true as 1
+    for size in (2.7, True, "2"):
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"n": size, "entries": [[1, 0], [0, 1]]}))
+        code, out, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(mat))
+        assert (code, out) == (2, "") and "n must be an integer" in err
     # wrong-size named family
     code, _, _ = run_cli(capsys, "shift", "-i", str(good), "--matrix", "vandermonde5")
     assert code == 2
@@ -194,6 +200,16 @@ def test_psg_parallel_output_is_byte_identical(capsys):
     base = run_ok(capsys, "psg", "-n", "4", "-k", "2", "-m", "2")
     forked = run_ok(capsys, "psg", "-n", "4", "-k", "2", "-m", "2", "--parallelism", "2")
     assert forked == base
+
+
+def test_psg_from_rp2_top_layer_is_byte_identical_in_parallel(tmp_path, capsys):
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"n": 6, "k": 3, "edges": RP2_FACETS}))
+    base = run_ok(capsys, "psg", "--from", str(top), "--parallelism", "1")
+    forked = run_ok(capsys, "psg", "--from", str(top), "--parallelism", "2")
+    assert forked == base
+    graph = json.loads(base)
+    assert (len(graph["nodes"]), len(graph["edges"])) == (82, 924)
 
 
 def test_psg_contract_and_dot(capsys):
@@ -335,6 +351,25 @@ def test_version_and_console_script():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("shiftlab ")
+
+
+def test_python_dash_m_shiftlab_runs_the_cli(tmp_path):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"n": 4, "k": 2, "edges": [[1, 2], [2, 3]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab", "shift", "-i", str(inp), "--perm", "w0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"n": 4, "k": 2, "edges": [[1, 2], [1, 3]]}
+    missing = str(tmp_path / "missing.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftlab", "shift", "-i", missing, "--perm", "w0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and "shiftlab: error" in proc.stderr
 
 
 def test_epsilon_parsing(tmp_path, capsys):

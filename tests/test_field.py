@@ -23,6 +23,7 @@ from shiftlab import (
     rank_profile,
     sample_eval_point,
 )
+from shiftlab.field import ProfileState
 
 
 # -------------------------------------------------------- characteristic
@@ -337,3 +338,16 @@ def test_rank_profile_rejects_ragged_matrix():
 def test_rank_profile_empty_matrix():
     assert rank_profile([]) == ((0,), frozenset())
     assert matrix_rank([]) == 0
+
+
+@pytest.mark.parametrize("domain", [ZZ, PrimeField(7)])
+def test_profile_state_copy_is_independent(domain):
+    state = ProfileState(domain, 3)
+    assert state.offer([1, 2, 3])
+    twin = state.copy()
+    assert twin.offer([0, 1, 5]) and twin.rank == 2
+    # the accepted offer grew the copy only
+    assert state.rank == 1 and state.pivot_rows == [0]
+    assert not state.offer([2, 4, 6])
+    assert state.offer([0, 1, 5]) and state.pivot_rows == twin.pivot_rows
+    assert state.offer([0, 0, 1]) and not twin.copy().offer([1, 3, 8])

@@ -1,6 +1,7 @@
 """Core shifting: compounds, exterior and partial shifts, Bruhat cells."""
 
 import itertools
+import math
 
 import pytest
 
@@ -22,6 +23,7 @@ from shiftlab import (
     PrimeField,
     UniformHypergraph,
     ZZ,
+    all_partial_shifts,
     all_permutations,
     bruhat_cell,
     cell_representative,
@@ -47,9 +49,14 @@ from shiftlab import (
     partial_shift_profile,
     permutation_matrix,
     product_defect,
+    random_complexes,
+    shift_complex,
+    shift_complex_all_cells,
     twist,
     vandermonde_matrix,
 )
+from shiftlab import shiftcore
+from shiftlab.field import degree_budget
 
 
 def _hg(n, k, edges):
@@ -579,3 +586,72 @@ def test_matroid_stability_of_additive_products():
         product = matrix_product(cell_representative(v), twist(cell_representative(w), v))
         S = _hg(4, 2, gen.sample(subsets, gen.randint(2, 4)))
         assert exterior_shift(product, S, RND) == partial_shift(S, v * w, RND)
+
+
+# ------------------------------------------------------ all cells at once
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_all_partial_shifts_match_symbolic_cells_exhaustive(char):
+    # every (S, w) with n <= 4 and 1 <= m <= 4, against the per-cell oracle
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    rnd = make_field_context(char, Backend.RANDOMIZED, seed=0)
+    pairs, mismatches = 0, []
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            ms = range(1, min(4, math.comb(n, k)) + 1)
+            for S in _all_hypergraphs(n, k, ms):
+                shifts = all_partial_shifts((S,), rnd)
+                assert list(shifts) == list(all_permutations(n))
+                for w, (T,) in shifts.items():
+                    pairs += 1
+                    if T != partial_shift(S, w, sym):
+                        mismatches.append((S.edge_lists(), w.images))
+    assert (pairs, mismatches) == (2187, [])
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    rnd = make_field_context(char, Backend.RANDOMIZED, seed=0)
+    orders = {}
+    for K in random_complexes(10, n=4, dim=2, seed=0):
+        layers = all_partial_shifts(K.layers(), rnd, orders)
+        images = shift_complex_all_cells(K, rnd, orders)
+        assert all_partial_shifts(K.layers(), sym) == layers
+        for w, image in images.items():
+            oracle = shift_complex(K, w, sym)
+            assert image == oracle
+            assert layers[w] == oracle.layers()
+    assert set(orders) == {(4, 1), (4, 2), (4, 3)}
+
+
+def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
+    calls = []
+    sample = shiftcore.sample_eval_point
+    monkeypatch.setattr(
+        shiftcore, "sample_eval_point", lambda *a: calls.append(a) or sample(*a)
+    )
+    S, T = _hg(4, 2, [[2, 3], [2, 4]]), _hg(4, 1, [[3]])
+    shifts = all_partial_shifts((S, T), RND2)
+    assert len(calls) == 1 and len(shifts) == 24
+    # the budget sums over the layers, as for shifting by one matrix
+    _, variables, budget, _, attempt = calls[0]
+    assert len(variables) == 6 and attempt == 0
+    assert budget == degree_budget(2, 2, 6) + degree_budget(1, 1, 4)
+    # empty and complete layers shift to themselves without a point
+    empty, complete = UniformHypergraph(4, 2, ()), _hg(4, 3, k_subsets(4, 3))
+    assert all(
+        images == [empty, complete]
+        for images in all_partial_shifts((empty, complete), RND).values()
+    )
+    assert len(calls) == 1
+    assert shifts[Permutation.identity(4)] == [S, T]
+    assert shifts[Permutation.longest(4)] == [full_shift(S, RND2), full_shift(T, RND2)]
+
+
+def test_all_partial_shifts_validates_layers():
+    with pytest.raises(MathPreconditionError):
+        all_partial_shifts((), RND)
+    with pytest.raises(MathPreconditionError):
+        all_partial_shifts((_hg(4, 2, [[1, 2]]), _hg(5, 2, [[1, 2]])), RND)

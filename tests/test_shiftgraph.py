@@ -301,3 +301,22 @@ def test_symbolic_and_randomized_graphs_agree():
     g_sym = build_shift_graph(4, 2, 2, sym)
     g_rnd = build_shift_graph(4, 2, 2, RND)
     assert export_json(g_sym) == export_json(g_rnd)
+
+
+RP2_TOP = UniformHypergraph.from_edges(
+    6,
+    3,
+    [
+        [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
+        [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
+    ],
+)
+
+
+def test_symbolic_and_randomized_node_expansion_agree_on_rp2_top_layer():
+    # all 719 non-identity cells of one node: the symbolic backend shifts
+    # cell by cell, the randomized one reads every cell off one point
+    sym = shiftgraph._shift_edges_of(RP2_TOP, make_field_context(0, Backend.SYMBOLIC))
+    rnd = shiftgraph._shift_edges_of(RP2_TOP, RND)
+    assert sym == rnd
+    assert sum(len(ws) for ws in rnd.values()) == 719  # every other cell moves it

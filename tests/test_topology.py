@@ -389,13 +389,14 @@ def test_conjecture_scan_structure():
 
 def test_conjecture_scan_reuses_work_within_one_call(monkeypatch):
     shifted, ranked = [], []
-    shift, betti = topology.shift_complex, topology.betti_numbers
+    assemble, betti = topology.complex_from_layers, topology.betti_numbers
 
-    def counted_shift(K, w, ctx):
-        shifted.append(shift(K, w, ctx))
+    def counted_assemble(layers):
+        # every shifted image other than the identity's is assembled here
+        shifted.append(assemble(layers))
         return shifted[-1]
 
-    monkeypatch.setattr(topology, "shift_complex", counted_shift)
+    monkeypatch.setattr(topology, "complex_from_layers", counted_assemble)
     monkeypatch.setattr(
         topology, "betti_numbers", lambda K, char: ranked.append(K) or betti(K, char)
     )
