@@ -98,11 +98,7 @@ def _load_object(text: str, kind: str, n: int | None):
             raise InputFormatError("JSON input must be an object")
         if "edges" in payload:
             if kind == "complex":
-                try:
-                    size, edges = payload["n"], payload["edges"]
-                except KeyError as exc:
-                    raise InputFormatError(f"missing key: {exc}") from exc
-                return "complex", _as_complex(size, edges)
+                return "complex", complex_from_json(stripped, facets_key="edges")
             return "hypergraph", hypergraph_from_json(stripped)
         if "facets" in payload:
             if kind == "hypergraph":
@@ -122,17 +118,10 @@ def _load_object(text: str, kind: str, n: int | None):
     return "complex", complex_from_text(text, n)
 
 
-def _as_complex(n, facets) -> SimplicialComplex:
-    try:
-        return SimplicialComplex.from_facets(n, facets)
-    except (MathPreconditionError, TypeError) as exc:
-        raise InputFormatError(str(exc)) from exc
-
-
 def _load_complex(text: str, n: int | None) -> SimplicialComplex:
     kind, obj = _load_object(text, "auto", n)
     if kind == "hypergraph":
-        return _as_complex(obj.n, obj.edge_lists())
+        return SimplicialComplex.from_facets(obj.n, obj.edge_lists())
     return obj
 
 
@@ -198,7 +187,11 @@ def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
         raise InputFormatError(
             f"matrix file has n={n}, input needs n={expected_n}"
         )
-    if len(entries) != n or any(len(row) != n for row in entries):
+    if (
+        not isinstance(entries, list)
+        or len(entries) != n
+        or any(not isinstance(row, list) or len(row) != n for row in entries)
+    ):
         raise InputFormatError(f"matrix entries must form an {n}x{n} grid")
     rows = []
     for row in entries:

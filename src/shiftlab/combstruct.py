@@ -447,12 +447,26 @@ def hypergraph_to_json(h: UniformHypergraph) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _require_json_ints(what: str, faces, **sizes) -> None:
+    """Refuse sizes and vertices that are not JSON integers (true, 2.0, "3")."""
+    try:
+        values = list(sizes.items()) + [("vertex", v) for face in faces for v in face]
+    except TypeError as exc:
+        raise InputFormatError(f"bad {what} JSON: {exc}") from exc
+    for name, value in values:
+        if type(value) is not int:
+            raise InputFormatError(
+                f"bad {what} JSON: {name} must be an integer, not {value!r}"
+            )
+
+
 def hypergraph_from_json(text: str) -> UniformHypergraph:
     try:
         payload = json.loads(text)
         n, k, edges = payload["n"], payload["k"], payload["edges"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad hypergraph JSON: {exc}") from exc
+    _require_json_ints("hypergraph", edges, n=n, k=k)
     try:
         return UniformHypergraph.from_edges(n, k, edges)
     except (MathPreconditionError, TypeError) as exc:
@@ -467,12 +481,14 @@ def complex_to_json(K: SimplicialComplex) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def complex_from_json(text: str) -> SimplicialComplex:
+def complex_from_json(text: str, facets_key: str = "facets") -> SimplicialComplex:
+    """A complex from JSON; its generating faces sit under ``facets_key``."""
     try:
         payload = json.loads(text)
-        n, facets = payload["n"], payload["facets"]
+        n, facets = payload["n"], payload[facets_key]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad complex JSON: {exc}") from exc
+    _require_json_ints("complex", facets, n=n)
     try:
         return SimplicialComplex.from_facets(n, facets)
     except (MathPreconditionError, TypeError) as exc:

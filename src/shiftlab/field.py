@@ -1,8 +1,9 @@
 """Exact coefficient arithmetic for the two shifting backends.
 
-The symbolic backend works with sparse multivariate polynomials over the
-integers (reduced modulo p on demand) and decides linear dependence by
-fraction-free Bareiss elimination, so every zero test is exact.  The
+The symbolic backend works with sparse multivariate polynomials over ZZ or
+GF(p), stored with packed monomials under a per-call degree bound, and
+decides linear dependence by fraction-free Bareiss elimination with
+checked exact division, so every zero test is exact.  The
 randomized backend replaces the indeterminates by values drawn from a
 domain large enough for the Schwartz-Zippel bound: uniform integers from
 ``[1, ceil(2 * degree_budget / epsilon)]`` in characteristic zero, or a
@@ -18,6 +19,7 @@ domain is a small object bundling the ring operations for them.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -602,40 +604,6 @@ def _mono_deg(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _mono_divide(m1: Monomial, m2: Monomial) -> Monomial | None:
-    """m1 / m2 as a monomial, or None when some exponent would go negative."""
-    quota = dict(m1)
-    for var, e in m2:
-        have = quota.get(var, 0)
-        if have < e:
-            return None
-        if have == e:
-            del quota[var]
-        else:
-            quota[var] = have - e
-    return tuple(sorted(quota.items(), key=lambda item: _var_key(item[0])))
-
-
-def _mono_gt(a: Monomial, b: Monomial) -> bool:
-    """Graded lexicographic order with variables prioritized by (j, i)."""
-    da, db = _mono_deg(a), _mono_deg(b)
-    if da != db:
-        return da > db
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        ka, kb = _var_key(a[ia][0]), _var_key(b[ib][0])
-        if ka == kb:
-            if a[ia][1] != b[ib][1]:
-                return a[ia][1] > b[ib][1]
-            ia += 1
-            ib += 1
-        elif ka < kb:
-            return True  # a has positive exponent on an earlier variable
-        else:
-            return False
-    return ia < len(a)
-
-
 def _norm_terms(terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
     if p:
         return {m: c % p for m, c in terms.items() if c % p}
@@ -645,9 +613,11 @@ def _norm_terms(terms: dict[Monomial, int], p: int) -> dict[Monomial, int]:
 class MultiPoly:
     """Sparse multivariate polynomial with integer coefficients.
 
-    The class itself always computes over the integers; characteristic-p
-    arithmetic goes through ``PolynomialRing(p)``, which reduces every
-    coefficient modulo p.  Instances are treated as immutable.
+    The operators always compute over the integers; ``reduce_mod(p)``
+    reduces the coefficients.  Elimination does not run on this type:
+    ``PolynomialRing.pack`` converts entries to packed monomials, with
+    coefficients modulo p in characteristic p, and ``unpack`` converts
+    results back.  Instances are treated as immutable.
     """
 
     __slots__ = ("terms",)
@@ -727,7 +697,7 @@ class MultiPoly:
     # integer-coefficient operator arithmetic
 
     def __add__(self, other) -> "MultiPoly":
-        return _padd(self, _coerce(other), 0)
+        return _padd(self, _coerce(other))
 
     __radd__ = __add__
 
@@ -735,13 +705,13 @@ class MultiPoly:
         return MultiPoly._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return _padd(self, -_coerce(other), 0)
+        return _padd(self, -_coerce(other))
 
     def __rsub__(self, other) -> "MultiPoly":
-        return _padd(_coerce(other), -self, 0)
+        return _padd(_coerce(other), -self)
 
     def __mul__(self, other) -> "MultiPoly":
-        return _pmul(self, _coerce(other), 0)
+        return _pmul(self, _coerce(other))
 
     __rmul__ = __mul__
 
@@ -764,13 +734,16 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms from largest to smallest monomial in the canonical order."""
-        import functools
+        """Terms from largest to smallest monomial in the canonical order.
 
+        The order is graded lexicographic with variables prioritized by the
+        key (j, i), the order ``PolynomialRing`` packs its monomials in.
+        """
         return sorted(
             self.terms.items(),
-            key=functools.cmp_to_key(
-                lambda a, b: 1 if _mono_gt(a[0], b[0]) else (-1 if _mono_gt(b[0], a[0]) else 0)
+            key=lambda term: (
+                _mono_deg(term[0]),
+                tuple(((-j, -i), e) for (i, j), e in term[0]),
             ),
             reverse=True,
         )
@@ -803,9 +776,9 @@ def _coerce(value) -> MultiPoly:
     raise TypeError(f"cannot mix {type(value).__name__} with MultiPoly")
 
 
-def _padd(f: MultiPoly, g: MultiPoly, p: int) -> MultiPoly:
+def _padd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not f.terms:
-        return g.reduce_mod(p) if p else g
+        return g
     out = dict(f.terms)
     for m, c in g.terms.items():
         new = out.get(m, 0) + c
@@ -813,93 +786,207 @@ def _padd(f: MultiPoly, g: MultiPoly, p: int) -> MultiPoly:
             out[m] = new
         else:
             out.pop(m, None)
-    return MultiPoly._raw(_norm_terms(out, p)) if p else MultiPoly._raw(out)
+    return MultiPoly._raw(out)
 
 
-def _pmul(f: MultiPoly, g: MultiPoly, p: int) -> MultiPoly:
+def _pmul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     out: dict[Monomial, int] = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
             m = _mono_mul(m1, m2)
             out[m] = out.get(m, 0) + c1 * c2
-    return MultiPoly._raw(_norm_terms(out, p))
-
-
-def _plead(f: MultiPoly) -> tuple[Monomial, int]:
-    best = None
-    for m, c in f.terms.items():
-        if best is None or _mono_gt(m, best[0]):
-            best = (m, c)
-    if best is None:
-        raise InternalError("leading term of zero polynomial")
-    return best
-
-
-def _pdiv_exact(f: MultiPoly, g: MultiPoly, p: int) -> MultiPoly:
-    """f / g when the division is exact; raises InternalError otherwise."""
-    if g.is_zero:
-        raise InternalError("polynomial division by zero")
-    if f.is_zero:
-        return f
-    lead_g, lc_g = _plead(g)
-    if p:
-        lc_g_inv = pow(lc_g, p - 2, p)
-    quotient: dict[Monomial, int] = {}
-    rest = f
-    while not rest.is_zero:
-        lead_f, lc_f = _plead(rest)
-        mono = _mono_divide(lead_f, lead_g)
-        if mono is None:
-            raise InternalError("inexact polynomial division (monomial)")
-        if p:
-            c = (lc_f * lc_g_inv) % p
-        else:
-            c, rem = divmod(lc_f, lc_g)
-            if rem:
-                raise InternalError("inexact polynomial division (coefficient)")
-        quotient[mono] = quotient.get(mono, 0) + c
-        rest = _padd(rest, _pmul(MultiPoly._raw({mono: -c}), g, 0), p)
-    return MultiPoly._raw(_norm_terms(quotient, p))
+    return MultiPoly._raw(_norm_terms(out, 0))
 
 
 class PolynomialRing:
-    """Ring operations on MultiPoly with coefficients taken modulo p (or not)."""
+    """Polynomials in fixed variables of total degree at most D, over ZZ or GF(p).
+
+    An element is a dict ``{packed monomial: coefficient}`` without zero
+    coefficients; in characteristic p every coefficient lies in [1, p).
+    Elements are treated as immutable.  A packed monomial is one integer
+    with a field of ``D.bit_length() + 1`` bits per variable, the first
+    variable in ``_var_key`` order in the highest field, and the total
+    degree in the bits above them all.  Integer comparison is then the
+    graded lexicographic order, a product of monomials is an integer sum,
+    and since no exponent exceeds D the top bit of every field is a guard:
+    m2 divides m1 exactly when m1 - m2 borrows into no guard bit (Monagan
+    and Pearce, "Sparse polynomial division using a heap", J. Symbolic
+    Comput. 46, 2011).  A product of degree above D raises InternalError
+    instead of spilling into the neighbouring field.
+
+    Callers take D from the elimination they run.  Fraction-free Bareiss
+    elimination on r rows whose entries have degree at most d keeps only
+    minors of order at most r as intermediates (Sylvester's identity), so
+    of degree at most r * d; the product formed before each exact division
+    has at most twice that, and D = 2 * r * d covers the whole elimination.
+    ``pack`` and ``unpack`` convert from and to ``MultiPoly``.
+    """
 
     is_field = False
+    zero: dict = {}
 
-    def __init__(self, characteristic: int = 0):
+    def __init__(
+        self, characteristic: int, variables: Iterable[Var], degree_bound: int
+    ):
         if characteristic and not is_prime(characteristic):
             raise InvalidCharacteristicError(f"{characteristic} is not prime")
+        if degree_bound < 0:
+            raise MathPreconditionError("degree bound must be nonnegative")
         self.characteristic = characteristic
-        self.zero = MultiPoly.zero()
-        self.one = MultiPoly.const(1 % characteristic if characteristic else 1)
+        self.degree_bound = degree_bound
+        ordered = sorted(set(variables), key=_var_key)
+        width = degree_bound.bit_length() + 1
+        top = width * len(ordered)
+        # (variable, shift) from the highest field down
+        self._fields = tuple(
+            (var, top - width * (t + 1)) for t, var in enumerate(ordered)
+        )
+        self._shift = dict(self._fields)
+        self._width = width
+        self._deg_shift = top
+        self._limit = (degree_bound + 1) << top
+        guard = 1 << (width - 1)
+        self._guard = sum(guard << (width * t) for t in range(len(ordered) + 1))
+        self.one = self.from_int(1)
+
+    def pack(self, poly: MultiPoly) -> dict[int, int]:
+        p, shift = self.characteristic, self._shift
+        out = {}
+        for mono, c in poly.terms.items():
+            if p:
+                c %= p
+                if not c:
+                    continue
+            packed = deg = 0
+            for var, e in mono:
+                if var not in shift:
+                    raise InternalError(f"x{var} is not a variable of {self!r}")
+                packed += e << shift[var]
+                deg += e
+            if deg > self.degree_bound:
+                raise InternalError(
+                    f"monomial of degree {deg} exceeds the bound {self.degree_bound}"
+                )
+            out[packed + (deg << self._deg_shift)] = c
+        return out
+
+    def unpack(self, a: dict[int, int]) -> MultiPoly:
+        mask = (1 << self._width) - 1
+        terms = {}
+        for m, c in a.items():
+            mono = []
+            for var, s in self._fields:
+                e = (m >> s) & mask
+                if e:
+                    mono.append((var, e))
+            terms[tuple(mono)] = c
+        return MultiPoly._raw(terms)
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return not a
+
+    def from_int(self, c: int) -> dict[int, int]:
+        if self.characteristic:
+            c %= self.characteristic
+        return {0: c} if c else {}
 
     def add(self, a, b):
-        return _padd(a, b, self.characteristic)
+        return self._combine(a, b, 1)
 
     def sub(self, a, b):
-        return _padd(a, -b, self.characteristic)
+        return self._combine(a, b, -1)
 
-    def mul(self, a, b):
-        return _pmul(a, b, self.characteristic)
+    def _combine(self, a, b, sign: int):
+        """a + sign * b."""
+        if not b:
+            return a
+        if not a:
+            return self.neg(b) if sign < 0 else b
+        p = self.characteristic
+        out = a.copy()
+        for m, c in b.items():
+            if m in out:
+                c = out[m] + sign * c
+                if p:
+                    c %= p
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+            else:
+                out[m] = sign * c % p if p else sign * c
+        return out
 
     def neg(self, a):
-        return (-a).reduce_mod(self.characteristic) if self.characteristic else -a
+        p = self.characteristic
+        if p:
+            return {m: p - c for m, c in a.items()}
+        return {m: -c for m, c in a.items()}
 
-    def is_zero(self, a):
-        if self.characteristic:
-            return not _norm_terms(a.terms, self.characteristic)
-        return a.is_zero
+    def mul(self, a, b):
+        if not a or not b:
+            return {}
+        if max(a) + max(b) >= self._limit:
+            raise InternalError(
+                f"product exceeds the degree bound {self.degree_bound}"
+            )
+        p = self.characteristic
+        out: dict[int, int] = {}
+        get = out.get
+        b_items = tuple(b.items())
+        for ma, ca in a.items():
+            for mb, cb in b_items:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        if p:
+            return {m: c % p for m, c in out.items() if c % p}
+        return {m: c for m, c in out.items() if c}
 
     def exact_div(self, a, b):
-        return _pdiv_exact(a, b, self.characteristic)
-
-    def from_int(self, c):
-        return MultiPoly.const(c % self.characteristic if self.characteristic else c)
+        """a / b; raises InternalError unless b divides a exactly."""
+        if not b:
+            raise InternalError("polynomial division by zero")
+        if not a:
+            return a
+        p, guard = self.characteristic, self._guard
+        lead_b = max(b)
+        lc_b = b[lead_b]
+        inv_b = pow(lc_b, p - 2, p) if p else None
+        tail = [(m, c) for m, c in b.items() if m != lead_b]
+        rest = dict(a)
+        # every monomial added to rest lies below the one just divided out,
+        # so a max-heap of rest's monomials yields each leading term once
+        heap = [-m for m in rest]
+        heapq.heapify(heap)
+        quotient = {}
+        while heap:
+            m = -heapq.heappop(heap)
+            c = rest.pop(m)
+            if p:
+                c = c * inv_b % p
+            elif c:
+                c, r = divmod(c, lc_b)
+                if r:
+                    raise InternalError("inexact polynomial division (coefficient)")
+            if not c:
+                continue
+            d = m - lead_b
+            if d & guard:
+                raise InternalError("inexact polynomial division (monomial)")
+            quotient[d] = c
+            for mb, cb in tail:
+                mm = d + mb
+                if mm in rest:
+                    rest[mm] -= c * cb
+                else:
+                    rest[mm] = -c * cb
+                    heapq.heappush(heap, -mm)
+        return quotient
 
     def __repr__(self) -> str:
         base = "ZZ" if not self.characteristic else f"GF({self.characteristic})"
-        return f"{base}[x]"
+        return f"{base}[{len(self._fields)} variables, degree <= {self.degree_bound}]"
 
 
 def _domain_pow(domain, a, e: int):
@@ -1151,9 +1238,6 @@ def rank_profile(
     )
     if not symbolic_entries:
         dom = domain if domain is not None else ZZ
-    elif ctx is None or ctx.backend is Backend.SYMBOLIC:
-        dom = PolynomialRing(ctx.characteristic.value if ctx is not None else 0)
-        rows = [[_coerce(entry) for entry in row] for row in rows]
     else:
         poly_rows = [[_coerce(entry) for entry in row] for row in rows]
         variables = set()
@@ -1162,16 +1246,25 @@ def rank_profile(
             for entry in row:
                 variables |= entry.variables()
                 max_deg = max(max_deg, entry.degree())
-        budget = degree_budget(max_deg, min(len(rows), ncols), ncols)
-        tag = "rank_profile:" + repr(
-            (len(rows), ncols, tuple(order), sorted(variables))
-        )
-        point = sample_eval_point(ctx, variables, budget, tag)
-        dom = point.domain
-        rows = [
-            [entry.evaluate(point.assignment, dom) for entry in row]
-            for row in poly_rows
-        ]
+        rank = min(len(rows), ncols)
+        if ctx is None or ctx.backend is Backend.SYMBOLIC:
+            dom = PolynomialRing(
+                ctx.characteristic.value if ctx is not None else 0,
+                variables,
+                2 * rank * max(1, max_deg),
+            )
+            rows = [[dom.pack(entry) for entry in row] for row in poly_rows]
+        else:
+            budget = degree_budget(max_deg, rank, ncols)
+            tag = "rank_profile:" + repr(
+                (len(rows), ncols, tuple(order), sorted(variables))
+            )
+            point = sample_eval_point(ctx, variables, budget, tag)
+            dom = point.domain
+            rows = [
+                [entry.evaluate(point.assignment, dom) for entry in row]
+                for row in poly_rows
+            ]
     ranks, pivots = _profile_over(
         len(rows), order, lambda col: [row[col] for row in rows], dom
     )

@@ -390,13 +390,15 @@ def compound_rows(g: GenericMatrix, S: UniformHypergraph) -> CompoundSubmatrix:
     """Compound submatrix of g with rows S, via iterated wedge expansion."""
     if g.n != S.n:
         raise MathPreconditionError("matrix and hypergraph sizes differ")
-    dom = PolynomialRing(0)
+    # the wedge of t rows holds t x t minors, of degree at most t * deg g
+    dom = PolynomialRing(0, g.variables, S.k * max(1, g.degree_bound))
+    entries = [[dom.pack(e) for e in row] for row in g.entries]
     columns = k_subsets(S.n, S.k)
     rows = []
     for edge in S.edges:
-        state = _wedge_rows(g.entries, edge, S.n, dom)
+        state = _wedge_rows(entries, edge, S.n, dom)
         rows.append(
-            tuple(state.get(col.bits, MultiPoly.zero()) for col in columns)
+            tuple(dom.unpack(state.get(col.bits, dom.zero)) for col in columns)
         )
     return CompoundSubmatrix(source=S, columns=columns, rows=tuple(rows))
 
@@ -408,6 +410,23 @@ def _degree_budget(g: GenericMatrix, S: UniformHypergraph) -> int:
     # compound entries are k x k minors of g
     ncols = len(k_subsets(S.n, S.k))
     return degree_budget(S.k * max(1, g.degree_bound), S.m, ncols)
+
+
+def _symbolic_ring(
+    g: GenericMatrix, layers: Sequence[UniformHypergraph], char: int
+) -> PolynomialRing:
+    """The polynomial ring in which g's symbolic shifts of ``layers`` run.
+
+    Its degree bound is D = 2 * max(m * k, n) * max(1, deg g) over the
+    layers' m edges of size k.  Proof: the compound rows of a layer are
+    k x k minors of g, of degree at most k * deg g.  By Sylvester's
+    identity every Bareiss intermediate on those m rows is a minor of order
+    at most m of them, so of degree at most m * k * deg g, and the product
+    formed before each exact division has at most twice that.  The n x n
+    invertibility check on g itself needs 2 * n * deg g in the same way.
+    """
+    order = max([g.n] + [S.m * S.k for S in layers])
+    return PolynomialRing(char, g.variables, 2 * order * max(1, g.degree_bound))
 
 
 def _invertible_evaluation(g: GenericMatrix, budget: int, tag: str, ctx: FieldContext):
@@ -452,8 +471,9 @@ def _shift_profiles(
 
     An empty layer, or a complete one under a symbolically invertible g,
     shifts to itself without elimination.  Only if some layer is left is g
-    made concrete, once: reduced mod p and checked for invertibility on the
-    symbolic backend, or evaluated at one point for the call ``tag`` with
+    made concrete, once: packed into the polynomial ring of
+    ``_symbolic_ring`` and checked for invertibility on the symbolic
+    backend, or evaluated at one point for the call ``tag`` with
     the budget summed over all layers on the randomized backend.  Each
     remaining layer must then find one pivot per edge.
     """
@@ -469,11 +489,9 @@ def _shift_profiles(
     if all(profiles):
         return profiles
     if ctx.backend is Backend.SYMBOLIC:
-        char = ctx.characteristic.value
-        dom = PolynomialRing(char)
-        entries = g.entries
-        if char:
-            entries = tuple(tuple(e.reduce_mod(char) for e in row) for row in entries)
+        pending = [S for S, profile in zip(layers, profiles) if profile is None]
+        dom = _symbolic_ring(g, pending, ctx.characteristic.value)
+        entries = [[dom.pack(e) for e in row] for row in g.entries]
         if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
             raise MatrixNotInvertibleError(
                 "matrix is singular over the symbolic coefficient ring"

@@ -157,6 +157,12 @@ def test_shift_error_exits(tmp_path, capsys):
         mat.write_text(json.dumps({"n": size, "entries": [[1, 0], [0, 1]]}))
         code, out, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(mat))
         assert (code, out) == (2, "") and "n must be an integer" in err
+    # entries that are no list of lists
+    for entries in (5, None, [[1, 0], 3], "ab"):
+        mat = tmp_path / "mat.json"
+        mat.write_text(json.dumps({"n": 2, "entries": entries}))
+        code, out, err = run_cli(capsys, "shift", "-i", str(small), "--matrix", str(mat))
+        assert (code, out) == (2, "") and "2x2 grid" in err
     # wrong-size named family
     code, _, _ = run_cli(capsys, "shift", "-i", str(good), "--matrix", "vandermonde5")
     assert code == 2
@@ -169,6 +175,35 @@ def test_shift_error_exits(tmp_path, capsys):
     # missing file
     code, _, _ = run_cli(capsys, "shift", "-i", str(tmp_path / "absent"), "--perm", "e")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": True, "k": 1, "edges": [[1]]},
+        {"n": 2, "k": True, "edges": [[1]]},
+        {"n": 2.0, "k": 1, "edges": [[1]]},
+        {"n": 2, "k": 1, "edges": [[True]]},
+        {"n": 2, "k": 1, "edges": [[1.0]]},
+        {"n": 3, "facets": [[True, 2]]},
+        {"n": True, "facets": [[1]]},
+        {"n": 3, "facets": [[1, 2.0]]},
+        {"n": 3, "facets": [["1"]]},
+    ],
+)
+def test_json_sizes_and_vertices_must_be_integers(tmp_path, capsys, payload):
+    # JSON true is not vertex 1, and 2.0 is not a size
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    for argv in (("--matrix", "generic2"), ("--perm", "e")):
+        code, out, err = run_cli(capsys, "shift", "-i", str(path), *argv)
+        assert (code, out) == (2, "") and "must be an integer" in err
+    if "edges" in payload and type(payload["k"]) is int:
+        # read as a complex, edges are facets and k goes unread
+        code, out, err = run_cli(
+            capsys, "shift", "-i", str(path), "--perm", "e", "--as", "complex"
+        )
+        assert (code, out) == (2, "") and "must be an integer" in err
 
 
 def test_shift_output_file(tmp_path, capsys):

@@ -10,6 +10,7 @@ from shiftlab import (
     Backend,
     Characteristic,
     DeterministicStream,
+    InternalError,
     InvalidCharacteristicError,
     MathPreconditionError,
     MultiPoly,
@@ -199,15 +200,65 @@ def test_multipoly_map_variables():
 def test_polynomial_ring_exact_division():
     gen = rng("poly-div")
     for char in (0, 2, 7):
-        ring = PolynomialRing(char)
         for _ in range(25):
             f, g = _random_poly(gen), _random_poly(gen)
-            fr = ring.from_int(0) + f if char == 0 else f.reduce_mod(char)
-            gr = g if char == 0 else g.reduce_mod(char)
+            ring = PolynomialRing(char, f.variables() | g.variables(), 4)
+            fr, gr = ring.pack(f), ring.pack(g)
             if ring.is_zero(gr):
                 continue
             product = ring.mul(fr, gr)
             assert ring.exact_div(product, gr) == ring.mul(fr, ring.one)
+
+
+@pytest.mark.parametrize("char", [0, 2, 7])
+def test_polynomial_ring_matches_multipoly_operators(char):
+    gen = rng(f"packed-ring-{char}")
+    for _ in range(60):
+        f, g = _random_poly(gen), _random_poly(gen)
+        # one spare variable, so some fields stay empty
+        ring = PolynomialRing(char, f.variables() | g.variables() | {(4, 4)}, 4)
+        pf, pg = ring.pack(f), ring.pack(g)
+        assert ring.unpack(pf) == f.reduce_mod(char)
+        assert ring.unpack(ring.add(pf, pg)) == (f + g).reduce_mod(char)
+        assert ring.unpack(ring.sub(pf, pg)) == (f - g).reduce_mod(char)
+        assert ring.unpack(ring.neg(pf)) == (-f).reduce_mod(char)
+        assert ring.unpack(ring.mul(pf, pg)) == (f * g).reduce_mod(char)
+        assert ring.is_zero(ring.sub(pf, pf))
+        if not ring.is_zero(pg):
+            assert ring.exact_div(ring.mul(pf, pg), pg) == pf
+
+
+def test_polynomial_ring_refuses_inexact_division():
+    x11, x12 = MultiPoly.variable(1, 1), MultiPoly.variable(1, 2)
+    ring = PolynomialRing(0, [(1, 1), (1, 2)], 3)
+    pack = ring.pack
+    # a monomial that does not divide, borrowing from either neighbour field
+    for num, den in ((x12**3, x11), (x11**3, x12), (x11 * x12 + 1, x11)):
+        with pytest.raises(InternalError, match="monomial"):
+            ring.exact_div(pack(num), pack(den))
+    # a coefficient that does not divide in characteristic 0 ...
+    for num, den in ((3 * x11, 2 * x11), (2 * x11 * x12 + 3 * x12, 2 * x12)):
+        with pytest.raises(InternalError, match="coefficient"):
+            ring.exact_div(pack(num), pack(den))
+    # ... divides in GF(7)
+    ring7 = PolynomialRing(7, [(1, 1)], 3)
+    assert ring7.unpack(ring7.exact_div(ring7.pack(3 * x11), ring7.pack(2 * x11))) == 5
+    with pytest.raises(InternalError, match="by zero"):
+        ring.exact_div(pack(x11), ring.zero)
+
+
+def test_polynomial_ring_refuses_degree_above_its_bound():
+    x11, x12 = MultiPoly.variable(1, 1), MultiPoly.variable(1, 2)
+    ring = PolynomialRing(0, [(1, 1), (1, 2)], 3)
+    assert ring.unpack(ring.mul(ring.pack(x11**2), ring.pack(x12))) == x11**2 * x12
+    with pytest.raises(InternalError, match="degree bound"):
+        ring.mul(ring.pack(x11**2), ring.pack(x12**2))
+    with pytest.raises(InternalError, match="degree bound"):
+        ring.mul(ring.pack(x11 + 1), ring.pack(x12**3 + x11))
+    with pytest.raises(InternalError, match="exceeds"):
+        ring.pack(x11**2 * x12**2)
+    with pytest.raises(InternalError, match="not a variable"):
+        ring.pack(MultiPoly.variable(2, 2))
 
 
 # --------------------------------------------------------------- streams

@@ -626,6 +626,32 @@ def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
     assert set(orders) == {(4, 1), (4, 2), (4, 3)}
 
 
+RP2_TOP = UniformHypergraph.from_edges(
+    6,
+    3,
+    [
+        [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
+        [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
+    ],
+)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
+    # the full symbolic shift at n=6, k=3, m=10: every Bareiss step over
+    # the polynomial ring in the 15 free entries of the w0 representative
+    w0 = Permutation.longest(6)
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], "w0", sym)
+    rnd = make_field_context(char, Backend.RANDOMIZED, seed=201)
+    assert shifted == full_shift(RP2_TOP, rnd)
+    # the first nine 3-sets, then {1,5,6}; over GF(2) the torsion of RP^2
+    # shows as {2,3,4} in its place
+    last = [2, 3, 4] if char == 2 else [1, 5, 6]
+    first_nine = [list(e.elements()) for e in k_subsets(6, 3)[:9]]
+    assert shifted.edge_lists() == first_nine + [last]
+
+
 def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
     calls = []
     sample = shiftcore.sample_eval_point
