@@ -51,8 +51,8 @@ __all__ = [
     "sample_eval_point",
     "degree_budget",
     "DeterministicStream",
-    "rank_profile",
     "matrix_rank",
+    "lex_first_bases",
     "ProfileState",
 ]
 
@@ -1048,9 +1048,6 @@ class EvalPoint:
 
     assignment: dict[Var, object]
     domain: object
-    seed: int
-    call_tag: str
-    attempt: int = 0
 
 
 def degree_budget(entry_degree: int, rank: int, ncols: int) -> int:
@@ -1090,13 +1087,7 @@ def sample_eval_point(
         assignment = {
             var: domain.sample(stream.randbelow(domain.size)) for var in ordered
         }
-    return EvalPoint(
-        assignment=assignment,
-        domain=domain,
-        seed=ctx.seed,
-        call_tag=call_tag,
-        attempt=attempt,
-    )
+    return EvalPoint(assignment=assignment, domain=domain)
 
 
 # --------------------------------------------------- rank-profile engines
@@ -1111,8 +1102,8 @@ class ProfileState:
     elimination.  Zero tests are exact in both cases.
     """
 
-    # one state per independent column set is kept while all the cells of a
-    # family are shifted, so instances carry no attribute dict
+    # many states are alive while all the cells of a family are shifted, so
+    # instances carry no attribute dict
     __slots__ = ("dom", "m", "pivot_rows", "_stack", "_fraction_free")
 
     def __init__(self, domain, nrows: int):
@@ -1126,17 +1117,19 @@ class ProfileState:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def copy(self) -> "ProfileState":
-        """An independent state with the same pivots.
+    def copy(self, rank: int | None = None) -> "ProfileState":
+        """An independent state with the first ``rank`` pivots (default all).
 
-        Offers never mutate a column once it is stacked, so the twin shares
-        them and costs two list copies.
+        Offers never mutate a column once it is stacked, and each pivot is
+        eliminated against the earlier ones only, so the first ``rank``
+        pivots are the state those offers left.  The twin shares the columns
+        and costs two list copies.
         """
         twin = ProfileState.__new__(ProfileState)
         twin.dom, twin.m = self.dom, self.m
         twin._fraction_free = self._fraction_free
-        twin.pivot_rows = self.pivot_rows.copy()
-        twin._stack = self._stack.copy()
+        twin.pivot_rows = self.pivot_rows[:rank]
+        twin._stack = self._stack[:rank]
         return twin
 
     def offer(self, column: Sequence) -> bool:
@@ -1189,86 +1182,49 @@ class ProfileState:
         return False
 
 
-def _profile_over(
-    nrows: int, keys: Sequence, column, domain
-) -> tuple[tuple[int, ...], list]:
-    """Offer ``column(key)`` for each key in turn until the rank is ``nrows``.
+def lex_first_bases(
+    columns: Sequence[Sequence], nrows: int, domain, orders: Iterable[Sequence[int]]
+) -> list[int]:
+    """The lex-first column basis of a matrix in each of several column orders.
 
-    Returns the rank sequence (r_0, .., r_N) over all N keys, padded with
-    the full rank once no column can add to it, and the pivot keys in order.
+    ``columns[j]`` is column j of a matrix with ``nrows`` rows over
+    ``domain``.  For every order, a sequence of column indices, the greedy
+    offers the columns in that order and keeps each one that is independent
+    of those kept before, until ``nrows`` are kept.  Bit t of the order's
+    returned mask is set when the column at position t was kept.
+
+    A decision depends only on (kept set, column), so it is memoized per
+    kept set, a bitmask of column indices: the state that eliminated the
+    set, and a bitmask of the columns found to depend on it.  An accepted
+    offer grows a state in place; since offers never change the pivots
+    stacked before them, the state stays valid for every smaller kept set
+    on its way as a prefix of its pivots.  Only where a later order branches
+    off such a set is the state copied, cut to that prefix.
     """
-    state = ProfileState(domain, nrows)
-    ranks = [0]
-    pivots = []
-    for key in keys:
-        if state.rank >= nrows:
-            break
-        if state.offer(column(key)):
-            pivots.append(key)
-        ranks.append(state.rank)
-    ranks.extend([state.rank] * (len(keys) + 1 - len(ranks)))
-    return tuple(ranks), pivots
-
-
-def rank_profile(
-    rows: Sequence[Sequence],
-    column_order: Sequence[int] | None = None,
-    ctx: FieldContext | None = None,
-    domain=None,
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Column rank sequence (r_0, .., r_N) and the set of pivot columns.
-
-    ``rows`` is a rectangular matrix given row-wise.  Entries may be
-    ``MultiPoly`` (then ``ctx`` selects the backend: symbolic elimination
-    over the coefficient ring, or evaluation at a seeded point followed by
-    concrete elimination) or raw scalars for an explicit ``domain``
-    (default: exact integers).  The rank sequence starts at r_0 = 0 and
-    increases by at most one per column; pivot columns are exactly the
-    positions where it steps.
-    """
-    if not rows:
-        return (0,), frozenset()
-    ncols = len(rows[0])
-    for row in rows:
-        if len(row) != ncols:
-            raise MathPreconditionError("matrix rows have unequal lengths")
-    order = list(range(ncols)) if column_order is None else list(column_order)
-    symbolic_entries = any(
-        isinstance(entry, MultiPoly) for row in rows for entry in row
-    )
-    if not symbolic_entries:
-        dom = domain if domain is not None else ZZ
-    else:
-        poly_rows = [[_coerce(entry) for entry in row] for row in rows]
-        variables = set()
-        max_deg = 0
-        for row in poly_rows:
-            for entry in row:
-                variables |= entry.variables()
-                max_deg = max(max_deg, entry.degree())
-        rank = min(len(rows), ncols)
-        if ctx is None or ctx.backend is Backend.SYMBOLIC:
-            dom = PolynomialRing(
-                ctx.characteristic.value if ctx is not None else 0,
-                variables,
-                2 * rank * max(1, max_deg),
-            )
-            rows = [[dom.pack(entry) for entry in row] for row in poly_rows]
-        else:
-            budget = degree_budget(max_deg, rank, ncols)
-            tag = "rank_profile:" + repr(
-                (len(rows), ncols, tuple(order), sorted(variables))
-            )
-            point = sample_eval_point(ctx, variables, budget, tag)
-            dom = point.domain
-            rows = [
-                [entry.evaluate(point.assignment, dom) for entry in row]
-                for row in poly_rows
-            ]
-    ranks, pivots = _profile_over(
-        len(rows), order, lambda col: [row[col] for row in rows], dom
-    )
-    return ranks, frozenset(pivots)
+    states = {0: ProfileState(domain, nrows)}
+    dependent: dict[int, int] = {}
+    out = []
+    for order in orders:
+        kept = positions = rank = 0
+        for t, j in enumerate(order):
+            if rank == nrows:
+                break
+            grown = kept | 1 << j
+            if grown not in states:
+                if dependent.get(kept, 0) >> j & 1:
+                    continue
+                state = states[kept]
+                if state.rank > rank:
+                    state = states[kept] = state.copy(rank)
+                if not state.offer(columns[j]):
+                    dependent[kept] = dependent.get(kept, 0) | 1 << j
+                    continue
+                states[grown] = state
+            kept = grown
+            positions |= 1 << t
+            rank += 1
+        out.append(positions)
+    return out
 
 
 def matrix_rank(rows: Sequence[Sequence], domain=None) -> int:
@@ -1276,7 +1232,6 @@ def matrix_rank(rows: Sequence[Sequence], domain=None) -> int:
     if not rows:
         return 0
     dom = domain if domain is not None else ZZ
-    ranks, _ = _profile_over(
-        len(rows), range(len(rows[0])), lambda col: [row[col] for row in rows], dom
-    )
-    return ranks[-1]
+    columns = list(zip(*rows))
+    (kept,) = lex_first_bases(columns, len(rows), dom, [range(len(columns))])
+    return kept.bit_count()

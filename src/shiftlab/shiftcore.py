@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .combstruct import KSubset, UniformHypergraph, k_subsets
@@ -41,10 +42,9 @@ from .field import (
     FieldContext,
     MultiPoly,
     PolynomialRing,
-    ProfileState,
     ZZ,
-    _profile_over,
     degree_budget,
+    lex_first_bases,
     matrix_rank,
     sample_eval_point,
 )
@@ -449,47 +449,40 @@ def _invertible_evaluation(g: GenericMatrix, budget: int, tag: str, ctx: FieldCo
     )
 
 
-def _eliminate(entries, S: UniformHypergraph, dom):
-    """Rank sequence and pivot columns of the compound rows S of ``entries``."""
-    wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
-    zero = dom.zero
-    return _profile_over(
-        S.m,
-        k_subsets(S.n, S.k),
-        lambda col: [row.get(col.bits, zero) for row in wedges],
-        dom,
-    )
+def _lex_order(n: int, k: int) -> tuple[range]:
+    return (range(len(k_subsets(n, k))),)
 
 
-def _shift_profiles(
+def _shift_families(
     g: GenericMatrix,
     layers: Sequence[UniformHypergraph],
     tag: str,
     ctx: FieldContext,
-) -> list[tuple[tuple[int, ...], UniformHypergraph]]:
-    """(rank sequence, shifted family) of every layer under the same g.
+    column_orders,
+) -> list[list[UniformHypergraph] | None]:
+    """The shift of every layer under g, once per column order.
 
-    An empty layer, or a complete one under a symbolically invertible g,
-    shifts to itself without elimination.  Only if some layer is left is g
-    made concrete, once: packed into the polynomial ring of
-    ``_symbolic_ring`` and checked for invertibility on the symbolic
-    backend, or evaluated at one point for the call ``tag`` with
-    the budget summed over all layers on the randomized backend.  Each
-    remaining layer must then find one pivot per edge.
+    A layer S has the columns of its compound rows ``M_S`` offered in each
+    order of ``column_orders(n, k)`` and keeps the lex-first basis: the
+    shifted family collects the lex positions kept.  An empty layer, or a
+    complete one under a symbolically invertible g, shifts to itself under
+    every order without elimination and gets None, and its orders are never
+    built.  Only if some layer is left is g made concrete, once: packed into
+    the polynomial ring of ``_symbolic_ring`` and checked for invertibility
+    on the symbolic backend, or evaluated at one point for the call ``tag``
+    with the budget summed over all layers on the randomized backend.  Each
+    remaining layer must then keep one column per edge in every order.
     """
     if any(S.n != g.n for S in layers):
         raise MathPreconditionError("matrix and hypergraph sizes differ")
-    profiles = []
-    for S in layers:
-        m, ncols = S.m, len(k_subsets(S.n, S.k))
-        if m == 0 or (m == ncols and g.symbolically_invertible):
-            profiles.append((tuple(range(m + 1)) + (m,) * (ncols - m), S))
-        else:
-            profiles.append(None)
-    if all(profiles):
-        return profiles
+    fixed = [
+        S.m == 0 or (S.m == len(k_subsets(S.n, S.k)) and g.symbolically_invertible)
+        for S in layers
+    ]
+    if all(fixed):
+        return [None] * len(layers)
     if ctx.backend is Backend.SYMBOLIC:
-        pending = [S for S, profile in zip(layers, profiles) if profile is None]
+        pending = [S for S, is_fixed in zip(layers, fixed) if not is_fixed]
         dom = _symbolic_ring(g, pending, ctx.characteristic.value)
         entries = [[dom.pack(e) for e in row] for row in g.entries]
         if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
@@ -499,17 +492,29 @@ def _shift_profiles(
     else:
         budget = sum(_degree_budget(g, S) for S in layers)
         entries, dom = _invertible_evaluation(g, budget, tag, ctx)
-    for i, S in enumerate(layers):
-        if profiles[i] is not None:
+    zero = dom.zero
+    out = []
+    for S, is_fixed in zip(layers, fixed):
+        if is_fixed:
+            out.append(None)
             continue
-        ranks, pivots = _eliminate(entries, S, dom)
-        if len(pivots) != S.m:
-            raise MatrixNotInvertibleError(
-                f"shift produced {len(pivots)} pivots for {S.m} edges; "
-                "the matrix cannot be invertible"
-            )
-        profiles[i] = (ranks, UniformHypergraph(S.n, S.k, tuple(pivots)))
-    return profiles
+        columns = k_subsets(S.n, S.k)
+        wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
+        matrix = [[row.get(col.bits, zero) for row in wedges] for col in columns]
+        families: dict[int, UniformHypergraph] = {}
+        shifted = []
+        for kept in lex_first_bases(matrix, S.m, dom, column_orders(S.n, S.k)):
+            if kept.bit_count() != S.m:
+                raise MatrixNotInvertibleError(
+                    f"shift produced {kept.bit_count()} pivots for {S.m} edges; "
+                    "the matrix cannot be invertible"
+                )
+            if kept not in families:
+                edges = [col for t, col in enumerate(columns) if kept >> t & 1]
+                families[kept] = UniformHypergraph(S.n, S.k, tuple(edges))
+            shifted.append(families[kept])
+        out.append(shifted)
+    return out
 
 
 def exterior_shift_profile(
@@ -518,10 +523,15 @@ def exterior_shift_profile(
     """Rank sequence over lex columns plus the shifted hypergraph.
 
     The rank sequence starts at 0 and increases by at most 1 per k-subset
-    column; the shifted hypergraph collects the columns where it steps.
+    column; the shifted hypergraph collects the columns where it steps, so
+    the sequence is read off the shifted family's edges.
     """
     tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
-    return _shift_profiles(g, [S], tag, ctx)[0]
+    (families,) = _shift_families(g, [S], tag, ctx, _lex_order)
+    shifted = S if families is None else families[0]
+    edges = shifted.edge_bits()
+    steps = [col.bits in edges for col in k_subsets(S.n, S.k)]
+    return tuple(accumulate(steps, initial=0)), shifted
 
 
 def shift_layers(
@@ -535,7 +545,8 @@ def shift_layers(
     g is made concrete once for all layers; randomized runs draw one point
     for the call ``tag`` with the budget summed over all layers.
     """
-    return [shifted for _, shifted in _shift_profiles(g, layers, tag, ctx)]
+    families = _shift_families(g, layers, tag, ctx, _lex_order)
+    return [S if f is None else f[0] for S, f in zip(layers, families)]
 
 
 def exterior_shift(
@@ -600,60 +611,6 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _lex_first_bases(
-    entries, S: UniformHypergraph, dom, orders: Sequence[Sequence[int]]
-) -> list[UniformHypergraph]:
-    """The shift of S under each column order of ``M_S = compound(U)[S, :]``.
-
-    For every order, the greedy keeps a column when it is independent of the
-    columns kept so far, and the shift collects the lex positions kept.  The
-    decision depends only on (kept set, column), so it is memoized per kept
-    set, a bitmask of columns: one ProfileState for the set, and a bitmask
-    of the columns found to depend on it.  A column j is independent of a
-    kept set whenever the set grown by j has a state of its own.  Copying a
-    state before an offer leaves it intact when the offer is accepted.
-    """
-    wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
-    columns = k_subsets(S.n, S.k)
-    zero = dom.zero
-    matrix = [[row.get(col.bits, zero) for row in wedges] for col in columns]
-    m = S.m
-    states = {0: ProfileState(dom, m)}
-    dependent: dict[int, int] = {}
-    families: dict[int, UniformHypergraph] = {}
-    out = []
-    for order in orders:
-        kept = positions = rank = 0
-        for t, j in enumerate(order):
-            grown = kept | 1 << j
-            if grown not in states:
-                if dependent.get(kept, 0) >> j & 1:
-                    continue
-                state = states[kept].copy()
-                if not state.offer(matrix[j]):
-                    dependent[kept] = dependent.get(kept, 0) | 1 << j
-                    continue
-                states[grown] = state
-            kept = grown
-            positions |= 1 << t
-            rank += 1
-            if rank == m:
-                break
-        if rank != m:
-            raise MatrixNotInvertibleError(
-                f"shift produced {rank} pivots for {m} edges; "
-                "the matrix cannot be invertible"
-            )
-        if positions not in families:
-            families[positions] = UniformHypergraph(
-                S.n,
-                S.k,
-                tuple(col for t, col in enumerate(columns) if positions >> t & 1),
-            )
-        out.append(families[positions])
-    return out
-
-
 def all_partial_shifts(
     layers: Sequence[UniformHypergraph],
     ctx: FieldContext,
@@ -682,11 +639,13 @@ def all_partial_shifts(
       the (n! - 1)-fold union bound over a family's cells are those of
       per-cell shifting, over the same field.
 
-    Each greedy decision is memoized within the call (see
-    ``_lex_first_bases``).  The symbolic backend shifts cell by cell with
-    ``shift_layers`` and stays the independent oracle.  ``orders`` keeps the
-    column orders per (n, k) for callers that shift many families; it is
-    filled on first use.
+    The cells run through the kernel of ``shift_layers``, with the cell
+    orders in place of the lex order, and every greedy decision is memoized
+    across them (see ``field.lex_first_bases``).  The symbolic backend
+    shifts cell by cell with ``shift_layers`` and stays the independent
+    oracle.  ``orders`` keeps the column orders per (n, k) for callers that
+    shift many families; it is filled on first use, for the layers that do
+    not shift to themselves.
     """
     if not layers:
         raise MathPreconditionError("all_partial_shifts needs at least one layer")
@@ -699,22 +658,18 @@ def all_partial_shifts(
         return {
             w: shift_layers(cell_representative(w), layers, tag, ctx) for w in perms
         }
-    # empty and complete layers shift to themselves, as in _shift_profiles
-    fixed = [S.m in (0, len(k_subsets(n, S.k))) for S in layers]
-    U = generic_unipotent(n)
-    if not all(fixed):
-        budget = sum(_degree_budget(U, S) for S in layers)
-        entries, dom = _invertible_evaluation(U, budget, tag, ctx)
     orders = {} if orders is None else orders
-    shifted = []
-    for S, is_fixed in zip(layers, fixed):
-        if is_fixed:
-            shifted.append([S] * len(perms))
-            continue
-        if (n, S.k) not in orders:
-            orders[n, S.k] = _cell_column_orders(n, S.k)
-        shifted.append(_lex_first_bases(entries, S, dom, orders[n, S.k]))
-    return {w: [images[i] for images in shifted] for i, w in enumerate(perms)}
+
+    def cell_orders(n: int, k: int):
+        if (n, k) not in orders:
+            orders[n, k] = _cell_column_orders(n, k)
+        return orders[n, k]
+
+    families = _shift_families(generic_unipotent(n), layers, tag, ctx, cell_orders)
+    return {
+        w: [S if f is None else f[i] for S, f in zip(layers, families)]
+        for i, w in enumerate(perms)
+    }
 
 
 def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergraph:
@@ -748,10 +703,9 @@ def _southwest_ranks(rows: list[list], domain) -> list[list[int]]:
     table = [[0] * (n + 1) for _ in range(n + 2)]
     for i in range(n, 0, -1):
         block = rows[i - 1 :]
-        ranks, _ = _profile_over(
-            len(block), range(n), lambda j: [row[j] for row in block], domain
-        )
-        table[i] = list(ranks)
+        (kept,) = lex_first_bases(list(zip(*block)), len(block), domain, [range(n)])
+        for j in range(n):
+            table[i][j + 1] = table[i][j] + (kept >> j & 1)
     return table
 
 

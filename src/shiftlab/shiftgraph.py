@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable
 
-from .combstruct import UniformHypergraph, k_subsets
+from .combstruct import UniformHypergraph, _require_json_ints, k_subsets
 from .errors import InputFormatError, InternalError, MathPreconditionError
 from .field import FieldContext
 from .shiftcore import (
@@ -395,23 +395,25 @@ def parse_graph_json(text: str):
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid graph JSON: {exc}") from exc
     try:
-        n, k, m = int(payload["n"]), int(payload["k"]), int(payload["m"])
+        n, k, m = payload["n"], payload["k"], payload["m"]
+        node_edges = [e for entry in payload["nodes"] for e in entry]
+        _require_json_ints("graph", node_edges, n=n, k=k, m=m)
         nodes = tuple(
             UniformHypergraph.from_edges(n, k, [tuple(e) for e in entry])
             for entry in payload["nodes"]
         )
         if payload.get("contracted"):
-            edges = frozenset(
-                (int(e["src"]), int(e["dst"])) for e in payload["edges"]
-            )
+            for e in payload["edges"]:
+                _require_json_ints("graph", (), src=e["src"], dst=e["dst"])
+            edges = frozenset((e["src"], e["dst"]) for e in payload["edges"])
             return ContractedShiftGraph(n=n, k=k, m=m, nodes=nodes, edges=edges)
         edge_map = {}
         for e in payload["edges"]:
-            witnesses = tuple(
-                Permutation(tuple(int(v) for v in images))
-                for images in e["witnesses"]
-            )
-            edge_map[(int(e["src"]), int(e["dst"]))] = witnesses
+            _require_json_ints("graph", e["witnesses"], src=e["src"], dst=e["dst"])
+            witnesses = tuple(Permutation(tuple(images)) for images in e["witnesses"])
+            edge_map[(e["src"], e["dst"])] = witnesses
         return ShiftGraph(n=n, k=k, m=m, nodes=nodes, edges=edge_map)
+    except InputFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed graph JSON: {exc}") from exc

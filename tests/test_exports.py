@@ -2,9 +2,11 @@
 
 These are the names in each module's ``__all__`` and the call sites that
 the benchmark's tracer (``bench/spans.py``) patches by name.  The package
-also keeps an inventory of its process-wide caches here.
+also keeps an inventory of its process-wide caches here, and of the one
+place each kernel is entered from.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -63,3 +65,29 @@ def test_process_wide_caches_are_keyed_or_bounded():
     assert unbounded == {"k_subsets", "_gf_extension_cached", "golden_data", "golden_graph_json"}
     bounded = {name: size for name, size in sizes.items() if size is not None}
     assert bounded == {"_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE}
+
+
+def _call_sites(callee: str) -> set[str]:
+    """``module.function`` of every call in ``src/`` to a name or method ``callee``."""
+    sites = set()
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+
+        def visit(node, scope):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == callee:
+                    sites.add(".".join([path.stem] + scope))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + [node.name]
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), [])
+    return sites
+
+
+def test_each_kernel_has_one_entry():
+    # every greedy column choice runs in one loop, and every randomized
+    # point is drawn by the one invertibility-retry loop
+    assert _call_sites("offer") == {"field.lex_first_bases"}
+    assert _call_sites("sample_eval_point") == {"shiftcore._invertible_evaluation"}

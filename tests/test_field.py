@@ -21,10 +21,9 @@ from shiftlab import (
     is_prime,
     make_field_context,
     matrix_rank,
-    rank_profile,
     sample_eval_point,
 )
-from shiftlab.field import ProfileState
+from shiftlab.field import ProfileState, lex_first_bases
 
 
 # -------------------------------------------------------- characteristic
@@ -319,30 +318,55 @@ def test_sample_eval_point_charp_domain_size():
 # ---------------------------------------------------------- rank profiles
 
 
-def test_rank_profile_matches_fraction_oracle_on_integers():
+def _shuffled_orders(gen, ncols, count):
+    orders = [list(range(ncols))]
+    for _ in range(count):
+        order = list(range(ncols))
+        gen.shuffle(order)
+        orders.append(order)
+    return orders
+
+
+def _check_profiles(rows, domain, oracle, orders):
+    """Every order of one shared call keeps the oracle's pivots of its reordering."""
+    columns = [[domain.from_int(row[j]) for row in rows] for j in range(len(rows[0]))]
+    for order, kept in zip(orders, lex_first_bases(columns, len(rows), domain, orders)):
+        want_ranks, want_pivots = oracle([[row[j] for j in order] for row in rows])
+        ranks = [0]
+        for t in range(len(order)):
+            ranks.append(ranks[-1] + (kept >> t & 1))
+        assert tuple(ranks) == want_ranks
+        assert [t for t in range(len(order)) if kept >> t & 1] == want_pivots
+
+
+def test_rank_profile_matches_fraction_oracle_on_integers(monkeypatch):
+    cuts, copy = [], ProfileState.copy
+
+    def counting_copy(state, rank=None):
+        cuts.append(rank)
+        return copy(state, rank)
+
+    monkeypatch.setattr(ProfileState, "copy", counting_copy)
     gen = rng("rank-int")
     for _ in range(80):
         nrows, ncols = gen.randint(1, 5), gen.randint(1, 6)
         rows = [[gen.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
-        ranks, pivots = rank_profile(rows)
-        want_ranks, want_pivots = frac_pivots(rows)
-        assert ranks == want_ranks
-        assert pivots == frozenset(want_pivots)
-        assert matrix_rank(rows) == frac_rank(rows) == ranks[-1]
+        _check_profiles(rows, ZZ, frac_pivots, _shuffled_orders(gen, ncols, 4))
+        assert matrix_rank(rows) == frac_rank(rows)
+    # later orders branched off kept sets that a state had grown past
+    assert cuts and all(rank is not None for rank in cuts)
 
 
 def test_rank_profile_respects_column_order():
+    # orders sharing one call answer as each order does alone
     gen = rng("rank-order")
     for _ in range(40):
         rows = [[gen.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-        order = list(range(5))
-        gen.shuffle(order)
-        ranks, pivots = rank_profile(rows, column_order=order)
-        want_ranks, want_pivots_local = frac_pivots(
-            [[row[j] for j in order] for row in rows]
-        )
-        assert ranks == want_ranks
-        assert pivots == frozenset(order[j] for j in want_pivots_local)
+        columns = [[row[j] for row in rows] for j in range(5)]
+        orders = _shuffled_orders(gen, 5, 6)
+        alone = [lex_first_bases(columns, 4, ZZ, [order])[0] for order in orders]
+        assert lex_first_bases(columns, 4, ZZ, orders) == alone
+        _check_profiles(rows, ZZ, frac_pivots, orders)
 
 
 @pytest.mark.parametrize("p", [2, 7])
@@ -351,43 +375,15 @@ def test_rank_profile_over_prime_fields(p):
     fld = PrimeField(p)
     for _ in range(60):
         rows = [[gen.randrange(p) for _ in range(5)] for _ in range(4)]
-        ranks, pivots = rank_profile(
-            [[fld.from_int(x) for x in row] for row in rows], domain=fld
-        )
-        want_ranks, want_pivots = frac_pivots_mod(rows, p)
-        assert ranks == want_ranks
-        assert pivots == frozenset(want_pivots)
+        orders = _shuffled_orders(gen, 5, 4)
+        _check_profiles(rows, fld, lambda rows: frac_pivots_mod(rows, p), orders)
         assert matrix_rank(rows, domain=fld) == frac_rank_mod(rows, p)
 
 
-def _poly_rows_with_dependency():
-    # third row is the sum of the first two: rank 2 whatever the variables do
-    x = MultiPoly.variable
-    r1 = [x(1, 1), x(1, 2), x(1, 3), MultiPoly.const(1)]
-    r2 = [x(2, 1), x(2, 2), x(2, 3), MultiPoly.const(2)]
-    r3 = [a + b for a, b in zip(r1, r2)]
-    return [r1, r2, r3]
-
-
-def test_rank_profile_symbolic_and_randomized_agree():
-    rows = _poly_rows_with_dependency()
-    sym = rank_profile(rows, ctx=make_field_context(0, Backend.SYMBOLIC))
-    rnd = rank_profile(rows, ctx=make_field_context(0, Backend.RANDOMIZED, seed=5))
-    assert sym == rnd
-    assert sym[0] == (0, 1, 2, 2, 2)
-    for p in (2, 3):
-        sym_p = rank_profile(rows, ctx=make_field_context(p, Backend.SYMBOLIC))
-        rnd_p = rank_profile(rows, ctx=make_field_context(p, Backend.RANDOMIZED))
-        assert sym_p == rnd_p == sym
-
-
-def test_rank_profile_rejects_ragged_matrix():
-    with pytest.raises(MathPreconditionError):
-        rank_profile([[1, 2], [3]])
-
-
 def test_rank_profile_empty_matrix():
-    assert rank_profile([]) == ((0,), frozenset())
+    assert lex_first_bases([], 0, ZZ, [[], []]) == [0, 0]
+    assert lex_first_bases([(), ()], 0, ZZ, [[0, 1]]) == [0]
+    assert lex_first_bases([(0, 0), (0, 0)], 2, ZZ, [[0, 1], [1, 0]]) == [0, 0]
     assert matrix_rank([]) == 0
 
 
@@ -402,3 +398,9 @@ def test_profile_state_copy_is_independent(domain):
     assert not state.offer([2, 4, 6])
     assert state.offer([0, 1, 5]) and state.pivot_rows == twin.pivot_rows
     assert state.offer([0, 0, 1]) and not twin.copy().offer([1, 3, 8])
+    # a copy cut to a prefix is the state those first offers left
+    early = state.copy(1)
+    assert early.rank == 1 and early.pivot_rows == [0] and state.rank == 3
+    assert not early.offer([2, 4, 6])
+    assert early.offer([0, 1, 5]) and early.pivot_rows == state.pivot_rows[:2]
+    assert state.copy(0).rank == 0 and state.copy(0).offer([0, 0, 1])

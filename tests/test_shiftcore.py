@@ -230,6 +230,16 @@ def test_profile_shape_and_pivot_consistency():
         assert partial_shift(S, w, RND) == shifted
 
 
+def test_profile_of_layers_that_shift_to_themselves():
+    # the rank sequence of an empty or complete layer is read off its edges
+    empty, complete = UniformHypergraph(4, 2, ()), _hg(4, 2, k_subsets(4, 2))
+    plain = matrix_from_entries([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [3, 0, 0, 1]])
+    for g in (generic_matrix(4), plain):  # no elimination, then elimination
+        for ctx in (SYM, RND, RND2):
+            assert exterior_shift_profile(g, empty, ctx) == ((0,) * 7, empty)
+            assert exterior_shift_profile(g, complete, ctx) == (tuple(range(7)), complete)
+
+
 def test_randomized_shift_is_seed_independent_here():
     S = _hg(5, 2, [[1, 4], [2, 5], [3, 4], [4, 5]])
     results = {

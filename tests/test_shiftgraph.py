@@ -289,6 +289,18 @@ def test_node_cap_and_parameter_validation():
         '{"n": 4}',
         '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]]], "edges": [{"src": 0}]}',
         '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]]], "edges": [{"src": 0, "dst": "x", "witnesses": []}]}',
+        # values that int() would truncate or coerce, such as 4.7, true, 0.9, 4.0
+        '{"n": 4.7, "k": 2, "m": 1, "nodes": [[[1, 2]]], "edges": []}',
+        '{"n": true, "k": 1, "m": 1, "nodes": [[[1]]], "edges": []}',
+        '{"n": 4, "k": 2.0, "m": 1, "nodes": [[[1, 2]]], "edges": []}',
+        '{"n": 4, "k": 2, "m": 1.0, "nodes": [[[1, 2]]], "edges": []}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[true, 2]]], "edges": []}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2.0]]], "edges": []}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0.9, "dst": 1, "witnesses": [[2, 3, 1, 4]]}]}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0, "dst": true, "witnesses": [[2, 3, 1, 4]]}]}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0, "dst": 1, "witnesses": [[2, 3, 1, 4.0]]}]}',
+        '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0, "dst": 1, "witnesses": [[2, 3, 1, "4"]]}]}',
+        '{"n": 4, "k": 2, "m": 1, "contracted": true, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0.9, "dst": 1}]}',
     ],
 )
 def test_parse_graph_json_rejects_malformed_input(text):
