@@ -186,8 +186,11 @@ class UniformHypergraph:
             if e.bits in seen:
                 raise MathPreconditionError(f"repeated edge {e}")
             seen.add(e.bits)
-        ordered = tuple(sorted(self.edges, key=lambda e: e.elements()))
-        object.__setattr__(self, "edges", ordered)
+        edges = tuple(self.edges)
+        # shifted families arrive in lex order already; sort only when not
+        if any(lex_compare(a, b) > 0 for a, b in zip(edges, edges[1:])):
+            edges = tuple(sorted(edges, key=lambda e: e.elements()))
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(

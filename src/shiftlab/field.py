@@ -10,7 +10,10 @@ domain large enough for the Schwartz-Zippel bound: uniform integers from
 field GF(p^e) with ``p^e`` at least ``2 * degree_budget / epsilon`` in
 characteristic p.  Randomized runs derive every sample from a SHA-256
 counter stream keyed by (seed, call fingerprint, attempt), which makes
-results reproducible and independent of call order.
+results reproducible and independent of call order.  The modulus of
+GF(p^e) is the first candidate from a seeded stream that passes Rabin's
+irreducibility test, run in the candidate's own ring GF(p)[x]/(f) with
+the multiply of the field it would define.
 
 All scalars are plain Python data (ints, tuples of ints); each concrete
 domain is a small object bundling the ring operations for them.
@@ -258,6 +261,12 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+# bin() digits to bytes 0/1, and a product byte to the digit of its low bit
+_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
+_PARITY = bytes(48 + (v & 1) for v in range(256))
+_CHUNK_MASK = (1 << 255) - 1
+
+
 class BinaryExtensionField:
     """GF(2^e) with elements packed into ints, bit t holding the x^t coefficient."""
 
@@ -290,12 +299,20 @@ class BinaryExtensionField:
     def mul(self, a, b):
         if not a or not b:
             return 0
-        r = 0
+        # Carry-less product by one integer multiply: spread each bit into a
+        # byte, multiply, keep the low bit of every byte.  A byte sums at most
+        # min(bit lengths) ones, so the shorter operand goes in 255-bit chunks.
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+        wide = int.from_bytes(bin(a)[2:].encode().translate(_SPREAD), "big")
+        r = shift = 0
         while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
+            chunk = b & _CHUNK_MASK
+            spread = int.from_bytes(bin(chunk)[2:].encode().translate(_SPREAD), "big")
+            size = a.bit_length() + chunk.bit_length()
+            r ^= int((wide * spread).to_bytes(size, "big").translate(_PARITY), 2) << shift
+            b >>= 255
+            shift += 255
         m, e = self.modulus, self.e
         rl = r.bit_length()
         while rl > e:
@@ -484,17 +501,6 @@ def _gfp_poly_divmod(a: list[int], b: list[int], p: int):
     return _gfp_poly_trim(q), _gfp_poly_trim(a)
 
 
-def _gfp_poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gfp_poly_divmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _gfp_poly_divmod(_gfp_poly_mul(result, base, p), mod, p)[1]
-        base = _gfp_poly_divmod(_gfp_poly_mul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
-
-
 def _gfp_poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = list(a), list(b)
     while any(b):
@@ -515,23 +521,38 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _extension_ring(p: int, coeffs: Sequence[int]):
+    """GF(p)[x]/(f) for f monic with ``coeffs`` constant first; a field iff f is irreducible."""
+    if p == 2:
+        return BinaryExtensionField(len(coeffs) - 1, int("".join(map(str, coeffs[::-1])), 2))
+    return PrimeExtensionField(p, len(coeffs) - 1, tuple(coeffs))
+
+
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin's irreducibility test for a monic polynomial f over GF(p).
+
+    The powers x^(p^k) mod f come from k Frobenius steps y -> y^p in the ring
+    GF(p)[x]/(f), with the same multiply as the field that f defines.
+    """
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
         return False
     if e == 1:
         return True
-    x = [0, 1]
+    ring = _extension_ring(p, coeffs)
+    x = ring.sample(p)  # the class of x: index p is the digit string "10"
+    divisors = {e // q for q in _prime_factors(e)}
+    powers, y = {}, x
+    for k in range(1, e + 1):
+        y = _domain_pow(ring, y, p)
+        if k in divisors:
+            powers[k] = y
     # x^(p^e) must equal x mod f
-    frob = _gfp_poly_powmod(x, p**e, coeffs, p)
-    if _gfp_poly_trim(frob) != _gfp_poly_sub(x, [0], p):
+    if y != x:
         return False
-    for q in _prime_factors(e):
-        power = _gfp_poly_powmod(x, p ** (e // q), coeffs, p)
-        diff = _gfp_poly_sub(power, x, p)
-        g = _gfp_poly_gcd(coeffs, diff, p)
-        if len(g) != 1:
+    for power in powers.values():
+        digits = list(power) if p > 2 else [int(c) for c in bin(power)[:1:-1]]
+        if len(_gfp_poly_gcd(coeffs, _gfp_poly_sub(digits, [0, 1], p), p)) != 1:
             return False
     return True
 
@@ -549,22 +570,15 @@ def _find_irreducible(p: int, e: int, seed: int) -> tuple[int, ...]:
 def _gf_extension_cached(p: int, e: int, seed: int):
     if e == 1:
         return PrimeField(p)
-    modulus = _find_irreducible(p, e, seed)
-    if p == 2:
-        packed = 0
-        for t, c in enumerate(modulus):
-            if c:
-                packed |= 1 << t
-        return BinaryExtensionField(e, packed)
-    return PrimeExtensionField(p, e, modulus)
+    return _extension_ring(p, _find_irreducible(p, e, seed))
 
 
 def gf_extension(p: int, min_size: int, seed: int = 0):
     """A field GF(p^e) of size at least ``min_size``, e minimal.
 
     The irreducible modulus is found deterministically from ``seed`` by
-    rejection sampling with Rabin's irreducibility test; results are cached
-    per (p, e, seed).
+    rejection sampling with Rabin's irreducibility test, which runs in each
+    candidate's own ring GF(p)[x]/(f); results are cached per (p, e, seed).
     """
     if not is_prime(p):
         raise InvalidCharacteristicError(f"{p} is not prime")
@@ -990,16 +1004,13 @@ class PolynomialRing:
 
 
 def _domain_pow(domain, a, e: int):
-    result = domain.one if e == 0 else a
-    if e <= 1:
-        return result
-    result = domain.one
-    base = a
-    while e:
-        if e & 1:
-            result = domain.mul(result, base)
-        base = domain.mul(base, base)
-        e >>= 1
+    if e == 0:
+        return domain.one
+    result = a
+    for bit in bin(e)[3:]:
+        result = domain.mul(result, result)
+        if bit == "1":
+            result = domain.mul(result, a)
     return result
 
 

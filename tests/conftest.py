@@ -3,6 +3,9 @@
 The oracles here deliberately do not reuse the package's own elimination
 code: ranks and determinants are recomputed with ``fractions.Fraction``
 so that library results are checked against a second, independent route.
+The GF(2^e) multiply and Rabin's irreducibility test are kept here in
+bit-serial and list-based forms, as references for the packed versions
+in ``shiftlab.field``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,14 @@ from fractions import Fraction
 import pytest
 
 from shiftlab import Backend, make_field_context
+from shiftlab.field import (
+    _gfp_poly_divmod,
+    _gfp_poly_gcd,
+    _gfp_poly_mul,
+    _gfp_poly_sub,
+    _gfp_poly_trim,
+    _prime_factors,
+)
 
 # Lines appended by the acceptance tests; printed at the end of the run.
 ACCEPTANCE_REPORT: list[str] = []
@@ -180,3 +191,53 @@ def int_matmul(a, b):
         [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(len(b[0]))]
         for i in range(n)
     ]
+
+
+# ------------------------------------------------ finite-field oracles
+
+
+def gf2_mul_oracle(a: int, b: int, modulus: int) -> int:
+    """a * b in GF(2)[x] / (modulus), shift-and-add over the bits of b."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    e = modulus.bit_length() - 1
+    while r.bit_length() > e:
+        r ^= modulus << (r.bit_length() - 1 - e)
+    return r
+
+
+def _gfp_poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = _gfp_poly_divmod(base, mod, p)[1]
+    while exp:
+        if exp & 1:
+            result = _gfp_poly_divmod(_gfp_poly_mul(result, base, p), mod, p)[1]
+        base = _gfp_poly_divmod(_gfp_poly_mul(base, base, p), mod, p)[1]
+        exp >>= 1
+    return result
+
+
+def is_irreducible_oracle(coeffs: list[int], p: int) -> bool:
+    """Rabin's test for a monic polynomial over GF(p), by square-and-multiply
+    on coefficient lists."""
+    e = len(coeffs) - 1
+    if e < 1 or coeffs[-1] != 1:
+        return False
+    if e == 1:
+        return True
+    x = [0, 1]
+    # x^(p^e) must equal x mod f
+    frob = _gfp_poly_powmod(x, p**e, coeffs, p)
+    if _gfp_poly_trim(frob) != _gfp_poly_sub(x, [0], p):
+        return False
+    for q in _prime_factors(e):
+        power = _gfp_poly_powmod(x, p ** (e // q), coeffs, p)
+        diff = _gfp_poly_sub(power, x, p)
+        g = _gfp_poly_gcd(coeffs, diff, p)
+        if len(g) != 1:
+            return False
+    return True

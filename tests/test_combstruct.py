@@ -126,6 +126,42 @@ def test_hypergraph_sorts_and_validates_edges():
         UniformHypergraph.from_edges(4, 2, [[1, 2, 3]])  # wrong size
 
 
+def test_hypergraph_sorts_unsorted_edges():
+    gen = rng("hypergraph-unsorted")
+    lex = k_subsets(6, 3)
+    for _ in range(200):
+        edges = gen.sample(lex, gen.randint(2, len(lex)))
+        if list(edges) == sorted(edges, key=lambda s: s.elements()):
+            continue
+        h = UniformHypergraph(6, 3, tuple(edges))
+        assert [e.elements() for e in h.edges] == sorted(e.elements() for e in edges)
+    with pytest.raises(MathPreconditionError):
+        UniformHypergraph(6, 3, (lex[5], lex[0], lex[5]))  # repeated edge
+    with pytest.raises(MathPreconditionError):
+        UniformHypergraph(6, 3, (lex[5], KSubset.from_elements(7, (1, 2, 3))))  # foreign
+
+
+def test_hypergraph_keeps_edges_given_in_lex_order(monkeypatch):
+    gen = rng("hypergraph-sorted")
+    lex = k_subsets(6, 3)
+    families = [tuple(s for s in lex if gen.random() < 0.5) for _ in range(50)]
+    # sorted input is checked pairwise on bitmasks and never re-sorted
+    sort_keys = []
+    elements = KSubset.elements
+    monkeypatch.setattr(KSubset, "elements", lambda s: sort_keys.append(s) or elements(s))
+    for edges in families:
+        h = UniformHypergraph(6, 3, edges)
+        assert h.edges == edges
+        assert all(a is b for a, b in zip(h.edges, edges))
+    assert sort_keys == []
+    monkeypatch.undo()
+    assert UniformHypergraph(6, 3, list(lex)).edges == lex  # stored as a tuple
+    with pytest.raises(MathPreconditionError):
+        UniformHypergraph(6, 3, (lex[0], lex[0]))  # repeated edge
+    with pytest.raises(MathPreconditionError):
+        UniformHypergraph(6, 3, (lex[0], KSubset.from_elements(6, (1, 2))))  # wrong size
+
+
 def test_hypergraph_lex_compare_symdiff_oracle():
     gen = rng("hg-lex")
     subsets = k_subsets(5, 2)

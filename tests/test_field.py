@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import frac_pivots, frac_pivots_mod, frac_rank, frac_rank_mod, rng
+from conftest import (
+    frac_pivots,
+    frac_pivots_mod,
+    frac_rank,
+    frac_rank_mod,
+    gf2_mul_oracle,
+    is_irreducible_oracle,
+    rng,
+)
 from shiftlab import (
     Backend,
     Characteristic,
@@ -23,7 +31,12 @@ from shiftlab import (
     matrix_rank,
     sample_eval_point,
 )
-from shiftlab.field import ProfileState, lex_first_bases
+from shiftlab.field import (
+    BinaryExtensionField,
+    ProfileState,
+    _is_irreducible,
+    lex_first_bases,
+)
 
 
 # -------------------------------------------------------- characteristic
@@ -118,6 +131,78 @@ def test_gf_extension_field_axioms_and_frobenius():
 def test_gf_extension_rejects_composite_characteristic():
     with pytest.raises(InvalidCharacteristicError):
         gf_extension(4, 16)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 12), (3, 6), (5, 4)])
+def test_is_irreducible_matches_list_oracle_exhaustively(p, max_degree):
+    found = 0
+    for e in range(1, max_degree + 1):
+        for low in itertools.product(range(p), repeat=e):
+            coeffs = list(low) + [1]
+            expected = is_irreducible_oracle(coeffs, p)
+            assert _is_irreducible(coeffs, p) == expected, coeffs
+            found += expected
+    # Gauss: (1/e) sum_{d | e} mu(d) p^(e/d) monic irreducibles of degree e
+    assert found == {2: 747, 3: 196, 5: 205}[p]
+
+
+def _gf2e_edge_and_random_elements(f, count):
+    gen = rng(f"gf2e-{f.e}")
+    return [0, 1, 1 << (f.e - 1), f.size - 1] + [gen.randrange(f.size) for _ in range(count)]
+
+
+@pytest.mark.parametrize("e", range(2, 65))
+def test_gf2e_mul_and_inv_match_bit_serial_oracle(e):
+    f = gf_extension(2, 2**e)
+    assert f.e == e
+    elems = _gf2e_edge_and_random_elements(f, 12)
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == gf2_mul_oracle(a, b, f.modulus)
+        if a:
+            assert gf2_mul_oracle(a, f.inv(a), f.modulus) == 1
+
+
+def test_gf2e_mul_beyond_one_byte_slot():
+    # x^521 + x^32 + 1 is irreducible; operands of up to 521 bits exceed the
+    # 255 ones a product byte can count, so the multiply splits them
+    modulus = (1 << 521) | (1 << 32) | 1
+    assert _is_irreducible([int(c) for c in bin(modulus)[:1:-1]], 2)
+    f = BinaryExtensionField(521, modulus)
+    elems = _gf2e_edge_and_random_elements(f, 6) + [(1 << 255) - 1, 1 << 255, 1 << 300]
+    for a in elems:
+        for b in elems:
+            assert f.mul(a, b) == gf2_mul_oracle(a, b, modulus)
+        if a:
+            assert gf2_mul_oracle(a, f.inv(a), modulus) == 1
+
+
+# The moduli every seeded run samples from.  Rabin's test is exact, so any
+# rewrite of the search must land on these; a change here moves every point
+# drawn in the extension field and with it the randomized outputs.
+_PINNED_GF2E = {
+    201: {36: 0x120E8C54EB, 37: 0x2FF313FF9B, 38: 0x540DB36359, 39: 0x9614401FF1,
+          40: 0x1D2A136C69D, 41: 0x39BE9690E05, 42: 0x719A4A9274D},
+    777: {36: 0x1380623CBD, 37: 0x3AB0450FD5, 38: 0x52D9306979, 39: 0xFBD1DA5B7D,
+          40: 0x1E33F2C01C1, 41: 0x3261ADB3D33, 42: 0x5944472F237},
+}
+# GF(3^e) moduli, constant coefficient first, for the (e, seed) the tests reach
+_PINNED_GF3E = {
+    (3, 0): "1021",
+    (21, 0): "1000002011210002112201",
+    (22, 0): "10111110121221102002011",
+    (23, 0): "121202100022100111221021",
+    (24, 0): "2001112121012100122002021",
+    (26, 201): "211101000222212220122002001",
+}
+
+
+def test_gf_extension_moduli_are_pinned():
+    for seed, moduli in _PINNED_GF2E.items():
+        for e, modulus in moduli.items():
+            assert gf_extension(2, 2**e, seed).modulus == modulus, (e, seed)
+    for (e, seed), digits in _PINNED_GF3E.items():
+        assert gf_extension(3, 3**e, seed).modulus == tuple(map(int, digits)), (e, seed)
 
 
 # ----------------------------------------------------------- polynomials
