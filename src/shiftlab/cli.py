@@ -85,7 +85,8 @@ def _load_object(text: str, kind: str, n: int | None):
     """Parse input as ('hypergraph', H) or ('complex', K).
 
     JSON objects declare themselves through their "edges" or "facets"
-    key.  Text input is one face per line; with kind 'auto' it becomes a
+    key, one of the two, and their "n" must equal ``n`` when one is given.
+    Text input is one face per line; with kind 'auto' it becomes a
     hypergraph when all faces have equal size, else a complex.
     """
     stripped = text.lstrip()
@@ -96,6 +97,12 @@ def _load_object(text: str, kind: str, n: int | None):
             raise InputFormatError(f"invalid JSON input: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputFormatError("JSON input must be an object")
+        if "edges" in payload and "facets" in payload:
+            raise InputFormatError('JSON input has both "edges" and "facets"')
+        if n is not None and payload.get("n") != n:
+            raise InputFormatError(
+                f'JSON input has "n": {payload.get("n")!r}, but --n is {n}'
+            )
         if "edges" in payload:
             if kind == "complex":
                 return "complex", complex_from_json(stripped, facets_key="edges")
@@ -336,7 +343,7 @@ def _cmd_reproduce(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser, backend: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--char",
         type=int,
@@ -344,21 +351,20 @@ def _add_common(parser: argparse.ArgumentParser, backend: bool = True) -> None:
         metavar="P",
         help="coefficient characteristic: 0 or a prime (default 0)",
     )
-    if backend:
-        parser.add_argument(
-            "--backend",
-            choices=("symbolic", "randomized"),
-            default="randomized",
-            help="exact symbolic elimination, or seeded randomized evaluation "
-            "with error bound epsilon (default randomized)",
-        )
-        parser.add_argument(
-            "--epsilon",
-            default="2^-30",
-            metavar="E",
-            help="randomized-backend error bound in (0,1); accepts 2^-K, "
-            "fractions like 1/1024, and decimals (default 2^-30)",
-        )
+    parser.add_argument(
+        "--backend",
+        choices=("symbolic", "randomized"),
+        default="randomized",
+        help="exact symbolic elimination, or seeded randomized evaluation "
+        "with error bound epsilon (default randomized)",
+    )
+    parser.add_argument(
+        "--epsilon",
+        default="2^-30",
+        metavar="E",
+        help="randomized-backend error bound in (0,1); accepts 2^-K, "
+        "fractions like 1/1024, and decimals (default 2^-30)",
+    )
     parser.add_argument(
         "--seed",
         type=int,

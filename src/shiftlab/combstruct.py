@@ -386,41 +386,23 @@ def _mask_to_elems(mask: int) -> tuple[int, ...]:
 
 
 def complex_from_layers(layers: Sequence[UniformHypergraph]) -> SimplicialComplex:
-    """Assemble a complex from uniform layers, checking downward closure.
+    """Assemble a complex from uniform layers on one vertex set, one per k.
 
-    Raises ``NotClosedError`` naming a witness face whose boundary is not
-    covered by the next layer down.
+    Downward closure is checked once, by ``SimplicialComplex``: a face with
+    a one-smaller subset in no layer raises ``NotClosedError`` naming it.
     """
     if not layers:
         return SimplicialComplex(0, frozenset())
     n = layers[0].n
-    by_k: dict[int, UniformHypergraph] = {}
+    faces: set[int] = {0}
+    sizes: set[int] = set()
     for layer in layers:
         if layer.n != n:
             raise MathPreconditionError("layers live on different vertex sets")
-        if layer.k in by_k:
+        if layer.k in sizes:
             raise MathPreconditionError(f"two layers with k={layer.k}")
-        by_k[layer.k] = layer
-    faces: set[int] = {0}
-    for layer in by_k.values():
+        sizes.add(layer.k)
         faces.update(e.bits for e in layer.edges)
-    for layer in by_k.values():
-        if layer.k == 1:
-            continue
-        below = by_k.get(layer.k - 1)
-        below_bits = below.edge_bits() if below else frozenset()
-        for e in layer.edges:
-            bits = e.bits
-            while bits:
-                low = bits & -bits
-                if (e.bits ^ low) not in below_bits:
-                    raise NotClosedError(
-                        f"face {e.elements()} present but its subset "
-                        f"{_mask_to_elems(e.bits ^ low)} is missing from the "
-                        f"layer below",
-                        witness=e.elements(),
-                    )
-                bits ^= low
     return SimplicialComplex(n, frozenset(faces))
 
 

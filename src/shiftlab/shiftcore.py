@@ -590,12 +590,15 @@ def full_shift(S: UniformHypergraph, ctx: FieldContext) -> UniformHypergraph:
 # ------------------------------------------------------ all cells at once
 
 
+@lru_cache(maxsize=16)
 def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The order in which every cell offers the columns of compound(U).
 
     Row i belongs to the i-th permutation w of ``all_permutations(n)``.  Its
     t-th entry is the lex index of w^-1 applied to the t-th k-subset: column
-    t of compound(U . P_w) is that column of compound(U), up to sign.
+    t of compound(U . P_w) is that column of compound(U), up to sign.  The
+    table depends on (n, k) alone, so the most recent 16 are kept for the
+    whole process: every family of a graph build or a scan reuses them.
     """
     columns = k_subsets(n, k)
     index = {col.bits: i for i, col in enumerate(columns)}
@@ -612,9 +615,7 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def all_partial_shifts(
-    layers: Sequence[UniformHypergraph],
-    ctx: FieldContext,
-    orders: dict | None = None,
+    layers: Sequence[UniformHypergraph], ctx: FieldContext
 ) -> dict[Permutation, list[UniformHypergraph]]:
     """The partial shift of every layer by every w, in ``all_permutations`` order.
 
@@ -641,11 +642,12 @@ def all_partial_shifts(
 
     The cells run through the kernel of ``shift_layers``, with the cell
     orders in place of the lex order, and every greedy decision is memoized
-    across them (see ``field.lex_first_bases``).  The symbolic backend
-    shifts cell by cell with ``shift_layers`` and stays the independent
-    oracle.  ``orders`` keeps the column orders per (n, k) for callers that
-    shift many families; it is filled on first use, for the layers that do
-    not shift to themselves.
+    across them (see ``field.lex_first_bases``).  The cell orders of an
+    (n, k) come from ``_cell_column_orders``, which keeps them across calls,
+    and are built only for layers that do not shift to themselves.  Each
+    distinct shifted family is one object, shared by every cell that yields
+    it.  The symbolic backend shifts cell by cell with ``shift_layers`` and
+    stays the independent oracle.
     """
     if not layers:
         raise MathPreconditionError("all_partial_shifts needs at least one layer")
@@ -658,14 +660,9 @@ def all_partial_shifts(
         return {
             w: shift_layers(cell_representative(w), layers, tag, ctx) for w in perms
         }
-    orders = {} if orders is None else orders
-
-    def cell_orders(n: int, k: int):
-        if (n, k) not in orders:
-            orders[n, k] = _cell_column_orders(n, k)
-        return orders[n, k]
-
-    families = _shift_families(generic_unipotent(n), layers, tag, ctx, cell_orders)
+    families = _shift_families(
+        generic_unipotent(n), layers, tag, ctx, _cell_column_orders
+    )
     return {
         w: [S if f is None else f[i] for S, f in zip(layers, families)]
         for i, w in enumerate(perms)

@@ -166,16 +166,10 @@ def _binomial(a: int, b: int) -> int:
     return math.comb(a, b) if 0 <= b <= a else 0
 
 
-def _shift_edges_of(
-    S: UniformHypergraph, ctx: FieldContext, orders: dict | None = None
-):
-    """All (target, witness) pairs with target different from S.
-
-    ``orders`` is passed on to ``all_partial_shifts``, which fills it with
-    column orders that later nodes of the same build reuse.
-    """
+def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
+    """All (target, witness) pairs with target different from S."""
     out: dict[UniformHypergraph, list[Permutation]] = {}
-    for w, (T,) in all_partial_shifts((S,), ctx, orders).items():
+    for w, (T,) in all_partial_shifts((S,), ctx).items():
         if T != S:
             out.setdefault(T, []).append(w)
     return out
@@ -185,7 +179,6 @@ def _map_shift_edges(
     nodes: list[UniformHypergraph],
     ctx: FieldContext,
     parallelism: int,
-    orders: dict,
 ):
     """Per-node successor maps, optionally fanned out over worker processes.
 
@@ -195,8 +188,8 @@ def _map_shift_edges(
     if parallelism < 1:
         raise MathPreconditionError("parallelism must be a positive integer")
     if parallelism == 1 or len(nodes) <= 1:
-        return [_shift_edges_of(S, ctx, orders) for S in nodes]
-    worker = functools.partial(_shift_edges_of, ctx=ctx, orders=orders)
+        return [_shift_edges_of(S, ctx) for S in nodes]
+    worker = functools.partial(_shift_edges_of, ctx=ctx)
     with multiprocessing.Pool(min(parallelism, len(nodes))) as pool:
         return pool.map(worker, nodes)
 
@@ -230,7 +223,7 @@ def build_shift_graph(
         for combo in itertools.combinations(k_subsets(n, k), m)
     ]
     raw_edges: dict = {}
-    successor_maps = _map_shift_edges(nodes, ctx, parallelism, orders={})
+    successor_maps = _map_shift_edges(nodes, ctx, parallelism)
     for S, successors in zip(nodes, successor_maps):
         for T, witnesses in successors.items():
             raw_edges[(S, T)] = witnesses
@@ -244,12 +237,11 @@ def build_shift_graph_from(
     seen = {S}
     frontier = [S]
     raw_edges: dict = {}
-    orders: dict = {}
     while frontier:
         batch = frontier
         frontier = []
         for current, successors in zip(
-            batch, _map_shift_edges(batch, ctx, parallelism, orders)
+            batch, _map_shift_edges(batch, ctx, parallelism)
         ):
             for T, witnesses in successors.items():
                 raw_edges[(current, T)] = witnesses

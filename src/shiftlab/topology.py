@@ -238,20 +238,27 @@ def shift_complex(
 
 
 def shift_complex_all_cells(
-    K: SimplicialComplex, ctx: FieldContext, orders: dict | None = None
+    K: SimplicialComplex, ctx: FieldContext
 ) -> dict[Permutation, SimplicialComplex]:
     """Layer-wise partial shift of K by every permutation, in enumeration order.
 
     One call of ``all_partial_shifts`` shifts every layer by every cell, so
-    a randomized run draws one point for the whole complex.  The identity
-    maps to K itself.  ``orders`` is passed on to ``all_partial_shifts``.
+    a randomized run draws one point for the whole complex.  Each distinct
+    tuple of shifted layers is reassembled and checked once, and the cells
+    that share it share the complex.  Layers that did not move, among them
+    the identity's, give K itself.
     """
     if K.dim < 0:
         return {w: K for w in all_permutations(K.n)}
-    return {
-        w: K if w.is_identity else _reassemble(K, layers)
-        for w, layers in all_partial_shifts(K.layers(), ctx, orders).items()
-    }
+    layers = K.layers()
+    images = {tuple(layers): K}
+    out = {}
+    for w, shifted in all_partial_shifts(layers, ctx).items():
+        key = tuple(shifted)
+        if key not in images:
+            images[key] = _reassemble(K, shifted)
+        out[w] = images[key]
+    return out
 
 
 def preserves_betti_certificate(w: Permutation) -> bool:
@@ -338,13 +345,12 @@ def _scan_complex(
     K: SimplicialComplex,
     ctx: FieldContext,
     betti: Callable[[SimplicialComplex], BettiVector],
-    orders: dict,
 ) -> ComplexScanResult:
     base = betti(K)
     violations = []
     preserving = []
     checked = 0
-    for w, shifted in shift_complex_all_cells(K, ctx, orders).items():
+    for w, shifted in shift_complex_all_cells(K, ctx).items():
         checked += 1
         image = betti(shifted)
         if image.values == base.values:
@@ -366,17 +372,14 @@ def _scan_complex(
     )
 
 
-def _scan_graph(params: tuple[int, int, int], ctx: FieldContext) -> GraphScanResult:
-    n, k, m = params
-    graph = build_shift_graph(n, k, m, ctx)
-    contracted = contract(graph, ctx)
-    ok, order_or_cycle = is_acyclic(contracted)
+def _graph_result(g: ContractedShiftGraph) -> GraphScanResult:
+    ok, order_or_cycle = is_acyclic(g)
     return GraphScanResult(
-        n=n,
-        k=k,
-        m=m,
-        nodes=len(contracted.nodes),
-        edges=len(contracted.edges),
+        n=g.n,
+        k=g.k,
+        m=g.m,
+        nodes=len(g.nodes),
+        edges=len(g.edges),
         acyclic=ok,
         cycle=() if ok else tuple(order_or_cycle),
     )
@@ -398,31 +401,20 @@ def conjecture_scan(
     or shifted image, is ranked once.
     """
     char = ctx.characteristic.value
-    # the memos and the column orders live for this call only
+    # the memos live for this call only
     betti = cache(lambda K: betti_numbers(K, char))
-    orders: dict = {}
-    scan = cache(lambda K: _scan_complex(K, ctx, betti, orders))
+    scan = cache(lambda K: _scan_complex(K, ctx, betti))
     complex_results = tuple(scan(K) for K in complexes)
     graph_results = [
-        _scan_graph(tuple(params), ctx) for params in graph_params
+        _graph_result(contract(build_shift_graph(n, k, m, ctx), ctx))
+        for n, k, m in graph_params
     ]
     for g in prebuilt_graphs:
         if isinstance(g, ShiftGraph):
             g = contract(g, ctx)
         if not isinstance(g, ContractedShiftGraph):
             raise MathPreconditionError("prebuilt graphs must be shift graphs")
-        ok, order_or_cycle = is_acyclic(g)
-        graph_results.append(
-            GraphScanResult(
-                n=g.n,
-                k=g.k,
-                m=g.m,
-                nodes=len(g.nodes),
-                edges=len(g.edges),
-                acyclic=ok,
-                cycle=() if ok else tuple(order_or_cycle),
-            )
-        )
+        graph_results.append(_graph_result(g))
     return ScanReport(
         characteristic=char,
         complexes=complex_results,

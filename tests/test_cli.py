@@ -177,6 +177,30 @@ def test_shift_error_exits(tmp_path, capsys):
     assert code == 2
 
 
+def test_json_input_must_match_n(tmp_path, capsys, rp2_file):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 4, "k": 2, "edges": [[1, 2], [2, 3]]}))
+    code, out, err = run_cli(capsys, "shift", "-i", str(path), "--perm", "w0", "--n", "7")
+    assert (code, out) == (2, "") and '"n": 4, but --n is 7' in err
+    code, out, err = run_cli(capsys, "psg", "--from", str(path), "-n", "5")
+    assert (code, out) == (2, "") and "--n is 5" in err
+    code, out, err = run_cli(capsys, "betti", rp2_file, "--n", "7")
+    assert (code, out) == (2, "") and '"n": 6, but --n is 7' in err
+    # a matching --n changes nothing
+    plain = run_ok(capsys, "shift", "-i", str(path), "--perm", "w0")
+    assert run_ok(capsys, "shift", "-i", str(path), "--perm", "w0", "--n", "4") == plain
+
+
+def test_json_input_with_edges_and_facets_is_refused(tmp_path, capsys):
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"n": 4, "k": 2, "edges": [[1, 2]], "facets": [[1, 2]]}))
+    for kind in ("auto", "hypergraph", "complex"):
+        code, out, err = run_cli(capsys, "shift", "-i", str(path), "--perm", "e", "--as", kind)
+        assert (code, out) == (2, "") and 'both "edges" and "facets"' in err
+    code, out, err = run_cli(capsys, "betti", str(path))
+    assert (code, out) == (2, "") and 'both "edges" and "facets"' in err
+
+
 @pytest.mark.parametrize(
     "payload",
     [

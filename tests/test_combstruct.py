@@ -250,6 +250,19 @@ def test_complex_from_layers_reports_missing_face():
         complex_from_layers([top, UniformHypergraph.from_edges(4, 1, [[1]])])
     with pytest.raises(MathPreconditionError):
         complex_from_layers([top, top])
+    # two faces that each miss a subset: the witness is one of them
+    top = UniformHypergraph.from_edges(4, 2, [[1, 2], [1, 4], [3, 4]])
+    bottom = UniformHypergraph.from_edges(4, 1, [[1], [2], [3]])
+    with pytest.raises(NotClosedError) as exc:
+        complex_from_layers([top, bottom])
+    assert exc.value.witness in {(1, 4), (3, 4)}
+    # a k=3 layer with no k=2 layer under it
+    vertices = UniformHypergraph.from_edges(3, 1, [[1], [2], [3]])
+    triangle = UniformHypergraph.from_edges(3, 3, [[1, 2, 3]])
+    for layers in ([vertices, triangle], [triangle]):
+        with pytest.raises(NotClosedError) as exc:
+            complex_from_layers(layers)
+        assert exc.value.witness == (1, 2, 3)
 
 
 def test_empty_and_void_complexes():

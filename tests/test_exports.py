@@ -51,8 +51,9 @@ def test_every_traced_call_site_resolves():
 
 def test_process_wide_caches_are_keyed_or_bounded():
     # results are computed per call, apart from a bounded window of recent
-    # partial shifts; only the k-subset lists, the extension fields per
-    # (p, e, seed) and the golden-data loaders live on without a bound
+    # partial shifts; the cell column orders per (n, k) are a bounded table,
+    # and only the k-subset lists, the extension fields per (p, e, seed)
+    # and the golden-data loaders live on without a bound
     sizes = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -64,7 +65,10 @@ def test_process_wide_caches_are_keyed_or_bounded():
     unbounded = {name for name, size in sizes.items() if size is None}
     assert unbounded == {"k_subsets", "_gf_extension_cached", "golden_data", "golden_graph_json"}
     bounded = {name: size for name, size in sizes.items() if size is not None}
-    assert bounded == {"_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE}
+    assert bounded == {
+        "_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE,
+        "_cell_column_orders": 16,
+    }
 
 
 def _call_sites(callee: str) -> set[str]:

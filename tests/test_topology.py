@@ -392,7 +392,7 @@ def test_conjecture_scan_reuses_work_within_one_call(monkeypatch):
     assemble, betti = topology.complex_from_layers, topology.betti_numbers
 
     def counted_assemble(layers):
-        # every shifted image other than the identity's is assembled here
+        # each distinct shifted image other than K is assembled here, once
         shifted.append(assemble(layers))
         return shifted[-1]
 
@@ -403,8 +403,9 @@ def test_conjecture_scan_reuses_work_within_one_call(monkeypatch):
     K = SimplicialComplex.from_facets(4, [[1, 2], [1, 3], [2, 3], [3, 4]])
     report = conjecture_scan([K, K], RND)
     # a repeated complex is scanned once, and each distinct complex is
-    # ranked once: the input and its distinct shifted images
-    assert len(shifted) == 23
+    # assembled and ranked once: the input and its distinct shifted images
+    # (23 cells other than the identity give two complexes other than K)
+    assert len(shifted) == len(set(shifted)) == 2
     assert len(ranked) == len(set(ranked))
     assert set(ranked) == {K, *shifted}
     assert report.complexes[0] == report.complexes[1]
@@ -413,7 +414,7 @@ def test_conjecture_scan_reuses_work_within_one_call(monkeypatch):
     assert digest == "77cbfc2fc58936647da7b60ef3efc0f4f52be100b96b192936f2b0431fc0cd6a"
     # nothing carries over into the next call
     conjecture_scan([K], RND)
-    assert len(shifted) == 46
+    assert len(shifted) == 4
 
 
 def test_conjecture_scan_accepts_prebuilt_graphs():
