@@ -8,10 +8,14 @@ randomized backend replaces the indeterminates by values drawn from a
 domain large enough for the Schwartz-Zippel bound: uniform integers from
 ``[1, ceil(2 * degree_budget / epsilon)]`` in characteristic zero, or a
 field GF(p^e) with ``p^e`` at least ``2 * degree_budget / epsilon`` in
-characteristic p.  Randomized runs derive every sample from a SHA-256
-counter stream keyed by (seed, call fingerprint, attempt), which makes
-results reproducible and independent of call order.  The modulus of
-GF(p^e) is the first candidate from a seeded stream that passes Rabin's
+characteristic p.  In characteristic zero the shift reads those integers
+in GF(2^q - 1), a Mersenne prime field above their range and above the
+coefficients of every minor it decides, and eliminates there by Gauss
+(see ``shiftcore._invertible_evaluation``).  Randomized runs derive every
+sample from a SHA-256 counter stream keyed by (seed, call fingerprint,
+attempt), which makes results reproducible and independent of call
+order.  The modulus of GF(p^e) is the first candidate from a seeded
+stream that passes Rabin's
 irreducibility test, run in the candidate's own ring GF(p)[x]/(f) with
 the multiply of the field it would define.
 
@@ -246,7 +250,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise MathPreconditionError("division by zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def exact_div(self, a, b):
         return a * self.inv(b) % self.p

@@ -25,6 +25,7 @@ between exact symbolic elimination and seeded randomized evaluation.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -42,6 +43,7 @@ from .field import (
     FieldContext,
     MultiPoly,
     PolynomialRing,
+    PrimeField,
     ZZ,
     degree_budget,
     lex_first_bases,
@@ -83,6 +85,10 @@ __all__ = [
 # Singular randomized evaluations are retried with fresh points this many
 # times before the matrix is declared non-invertible.
 INVERTIBILITY_RETRIES = 4
+
+# Exponents q of the Mersenne primes 2^q - 1 over which randomized runs in
+# characteristic 0 eliminate, in increasing order (see _invertible_evaluation).
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 # Partial shifts kept across calls, most recent first: a repeated (S, w, ctx)
 # costs no second elimination, and no graph build keeps more than this many.
@@ -429,15 +435,66 @@ def _symbolic_ring(
     return PolynomialRing(char, g.variables, 2 * order * max(1, g.degree_bound))
 
 
-def _invertible_evaluation(g: GenericMatrix, budget: int, tag: str, ctx: FieldContext):
+@lru_cache(maxsize=len(MERSENNE_EXPONENTS))
+def _mersenne_field(q: int) -> PrimeField:
+    # PrimeField checks primality, which takes seconds for 2^4423 - 1
+    return PrimeField((1 << q) - 1)
+
+
+def _invertible_evaluation(
+    g: GenericMatrix,
+    layers: Sequence[UniformHypergraph],
+    budget: int,
+    tag: str,
+    ctx: FieldContext,
+):
     """g evaluated at a point where it is invertible, and the point's domain.
 
     Up to 1 + INVERTIBILITY_RETRIES points are tried.  A matrix without
-    variables evaluates the same at every point, so it gets one.
+    variables evaluates the same at every point, so it gets one.  In
+    characteristic p the point lies in GF(p^e).  In characteristic 0 it is
+    drawn as integers from [1, B], B = ceil(2 * budget / epsilon), and g is
+    evaluated in GF(p) for the first Mersenne prime p = 2^q - 1 of
+    ``MERSENNE_EXPONENTS`` above B and above the coefficient bounds of g
+    and of ``layers``, the layers to be shifted.  That is exact:
+
+    - Let c be the largest coefficient 1-norm of an entry of g (c = 1 for
+      U and the cell representatives).  A k x k minor of g has 1-norm at
+      most k! * c^k.  So a minor of order at most m of the compound rows of
+      a layer with m edges of size k has 1-norm at most m! * (k! * c^k)^m,
+      and det g has at most n! * c^n.  Each rank decision of the shift and
+      of the invertibility check asks whether such an integer polynomial P
+      vanishes at the point.
+    - p exceeds every bound, so no coefficient of P is a nonzero multiple
+      of p: P mod p is nonzero whenever P is.  For a constant g the
+      decisions are therefore exact.
+    - p > B, so the sample set [1, B] maps one-to-one into GF(p), and by
+      Schwartz-Zippel over GF(p) with that set, P mod p vanishes at the
+      point with probability at most deg P / B, as P does over ZZ.  The
+      error budget epsilon is unchanged and no failure term is added.
+
+    A bound at or above the last prime of the table raises
+    MathPreconditionError before any point is drawn.
     """
+    if ctx.characteristic.is_zero:
+        c = max(1, max(sum(map(abs, e.terms.values())) for row in g.entries for e in row))
+        fact = math.factorial
+        bound = max(
+            [ctx.domain_size_bound(budget), fact(g.n) * c**g.n]
+            + [fact(S.m) * (fact(S.k) * c**S.k) ** S.m for S in layers]
+        )
+        q = next((q for q in MERSENNE_EXPONENTS if bound < (1 << q) - 1), None)
+        if q is None:
+            raise MathPreconditionError(
+                f"this shift needs a prime above a {bound.bit_length()}-bit bound; "
+                f"the largest Mersenne prime used is 2^{MERSENNE_EXPONENTS[-1]} - 1"
+            )
+        field = _mersenne_field(q)
     attempts = 1 + INVERTIBILITY_RETRIES if g.variables else 1
     for attempt in range(attempts):
         point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
+        if ctx.characteristic.is_zero:
+            point = EvalPoint(point.assignment, field)
         entries = evaluate_matrix(g, point)
         if g.unit_determinant or matrix_rank(entries, point.domain) == g.n:
             return entries, point.domain
@@ -481,8 +538,8 @@ def _shift_families(
     ]
     if all(fixed):
         return [None] * len(layers)
+    pending = [S for S, is_fixed in zip(layers, fixed) if not is_fixed]
     if ctx.backend is Backend.SYMBOLIC:
-        pending = [S for S, is_fixed in zip(layers, fixed) if not is_fixed]
         dom = _symbolic_ring(g, pending, ctx.characteristic.value)
         entries = [[dom.pack(e) for e in row] for row in g.entries]
         if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
@@ -491,7 +548,7 @@ def _shift_families(
             )
     else:
         budget = sum(_degree_budget(g, S) for S in layers)
-        entries, dom = _invertible_evaluation(g, budget, tag, ctx)
+        entries, dom = _invertible_evaluation(g, pending, budget, tag, ctx)
     zero = dom.zero
     out = []
     for S, is_fixed in zip(layers, fixed):
@@ -638,7 +695,12 @@ def all_partial_shifts(
       U's entries of degree at most ``degree_budget(k, m, C(n, k))``, the
       budget of the cell representative.  So the per-cell error bound and
       the (n! - 1)-fold union bound over a family's cells are those of
-      per-cell shifting, over the same field.
+      per-cell shifting, over the same field.  In characteristic 0 that is
+      GF(p) for the Mersenne prime p that a cell representative gets too:
+      U and the representatives have c = 1, so a decision is a minor of
+      order r <= m of the m rows of compound(U), whose coefficient 1-norm
+      is at most m! * (k!)^m < p, and it is nonzero mod p exactly when it
+      is nonzero (see ``_invertible_evaluation``).
 
     The cells run through the kernel of ``shift_layers``, with the cell
     orders in place of the lex order, and every greedy decision is memoized

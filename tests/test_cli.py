@@ -439,4 +439,8 @@ def test_epsilon_parsing(tmp_path, capsys):
         assert json.loads(out)["edges"] == [[1, 2], [1, 3]]
     code, _, _ = run_cli(capsys, "shift", "-i", str(inp), "--perm", "w0", "--epsilon", "x")
     assert code == 2
+    # characteristic 0 samples from [1, B] with B above 2^4500, beyond the
+    # largest Mersenne prime it eliminates over
+    code, out, err = run_cli(capsys, "shift", "-i", str(inp), "--perm", "w0", "--epsilon", "2^-4500")
+    assert (code, out) == (3, "") and "Mersenne" in err
 

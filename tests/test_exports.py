@@ -52,8 +52,9 @@ def test_every_traced_call_site_resolves():
 def test_process_wide_caches_are_keyed_or_bounded():
     # results are computed per call, apart from a bounded window of recent
     # partial shifts; the cell column orders per (n, k) are a bounded table,
-    # and only the k-subset lists, the extension fields per (p, e, seed)
-    # and the golden-data loaders live on without a bound
+    # the Mersenne prime fields of characteristic 0 one per table entry, and
+    # only the k-subset lists, the extension fields per (p, e, seed) and the
+    # golden-data loaders live on without a bound
     sizes = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -68,6 +69,7 @@ def test_process_wide_caches_are_keyed_or_bounded():
     assert bounded == {
         "_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE,
         "_cell_column_orders": 16,
+        "_mersenne_field": len(shiftcore.MERSENNE_EXPONENTS),
     }
 
 

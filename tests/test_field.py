@@ -94,6 +94,20 @@ def test_prime_field_axioms(p):
     assert f.is_field and f.characteristic == p and f.size == p
 
 
+@pytest.mark.parametrize("q", [61, 521])
+def test_prime_field_inverse_in_mersenne_fields(q):
+    # the fields randomized characteristic-0 runs eliminate over
+    p = 2**q - 1
+    f = PrimeField(p)
+    gen = rng(f"inv-mersenne-{q}")
+    for a in [1, 2, p - 1, p - 2] + [gen.randrange(1, p) for _ in range(50)]:
+        assert a * f.inv(a) % p == 1
+        assert f.exact_div(a, a) == 1
+    assert f.inv(p + 3) == f.inv(3)
+    with pytest.raises(MathPreconditionError):
+        f.inv(p)
+
+
 def test_prime_field_rejects_composite_modulus():
     with pytest.raises(InvalidCharacteristicError):
         PrimeField(6)

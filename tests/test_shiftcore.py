@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -56,7 +57,7 @@ from shiftlab import (
     vandermonde_matrix,
 )
 from shiftlab import shiftcore
-from shiftlab.field import degree_budget
+from shiftlab.field import ProfileState, degree_budget
 
 
 def _hg(n, k, edges):
@@ -694,3 +695,115 @@ def test_all_partial_shifts_validates_layers():
         all_partial_shifts((), RND)
     with pytest.raises(MathPreconditionError):
         all_partial_shifts((_hg(4, 2, [[1, 2]]), _hg(5, 2, [[1, 2]])), RND)
+
+
+# ------------------------------------ characteristic 0 over a Mersenne prime
+
+
+def _domains_of_shifts(monkeypatch) -> list:
+    """The domain of every greedy that a shift runs, in call order."""
+    domains = []
+    kernel = shiftcore.lex_first_bases
+
+    def spy(columns, nrows, domain, orders):
+        domains.append(domain)
+        return kernel(columns, nrows, domain, orders)
+
+    monkeypatch.setattr(shiftcore, "lex_first_bases", spy)
+    return domains
+
+
+def _compound_minors(mat, S):
+    return [
+        [
+            int(frac_minor(mat, [i - 1 for i in e.elements()], [j - 1 for j in c.elements()]))
+            for c in k_subsets(S.n, S.k)
+        ]
+        for e in S.edges
+    ]
+
+
+def test_char0_prime_keeps_a_minor_with_small_prime_content(monkeypatch):
+    # over Q the shift keeps the columns {1,2} and {1,3}, decided by a 2 x 2
+    # minor of the compound rows equal to -210 = -2*3*5*7; over GF(2), GF(3),
+    # GF(5) and GF(7) that minor vanishes and the shift differs
+    mat = [[-3, -1, -3, 3], [-2, -1, -3, 2], [3, 3, -2, 0], [-2, 3, 3, -3]]
+    S = _hg(4, 2, [[2, 3], [3, 4]])
+    minors = _compound_minors(mat, S)
+    _, pivots = frac_pivots(minors)
+    assert pivots == [0, 1]
+    assert minors[0][0] * minors[1][1] - minors[0][1] * minors[1][0] == -210
+    assert all(frac_pivots_mod(minors, q)[1] != pivots for q in (2, 3, 5, 7))
+    domains = _domains_of_shifts(monkeypatch)
+    want = UniformHypergraph(4, 2, tuple(k_subsets(4, 2)[j] for j in pivots))
+    assert exterior_shift(matrix_from_entries(mat), S, RND) == want
+    # the first Mersenne prime above the coefficient bound m! (k! c^k)^m of
+    # the 2 x 2 minors, here with c = 3, and above the sample bound B
+    (dom,) = domains
+    assert isinstance(dom, PrimeField) and dom.p == 2**61 - 1
+    assert dom.p > math.factorial(2) * (math.factorial(2) * 3**2) ** 2
+    assert dom.p > RND.domain_size_bound(degree_budget(2, 2, 6))
+
+
+def test_char0_prime_moves_up_for_large_coefficients_and_small_epsilon(monkeypatch):
+    domains = _domains_of_shifts(monkeypatch)
+    # entries of 1-norm about 2^25: det g has 1-norm below 4! c^4 < 2^106,
+    # and the 3 x 3 minors of the compound rows below 3! (2! c^2)^3 < 2^156
+    mat = random_invertible(4, rng("mersenne-large-norm"), bound=4)
+    mat[0][0] += 2**25
+    mat[2][1] -= 2**25
+    S = _hg(4, 2, [[1, 4], [2, 4], [3, 4]])
+    _, pivots = frac_pivots(_compound_minors(mat, S))
+    want = UniformHypergraph(4, 2, tuple(k_subsets(4, 2)[j] for j in pivots))
+    assert exterior_shift(matrix_from_entries(mat), S, RND) == want
+    assert [dom.p for dom in domains] == [2**521 - 1]
+    # epsilon = 2^-200 puts the sample bound B above 2^200 for the cells of U
+    tiny = make_field_context(0, Backend.RANDOMIZED, seed=0, epsilon=Fraction(1, 2**200))
+    domains.clear()
+    shifts = all_partial_shifts((S,), tiny)
+    assert [dom.p for dom in domains] == [2**521 - 1]
+    assert shifts == {w: [partial_shift(S, w, SYM)] for w in all_permutations(4)}
+
+
+def test_char0_bound_beyond_the_table_is_refused_before_elimination(monkeypatch):
+    offers = []
+    monkeypatch.setattr(ProfileState, "offer", lambda self, column: offers.append(column))
+    S = _hg(3, 1, [[2]])
+    # det g may reach 3! * c^3 with c = 2^2000
+    huge = matrix_from_entries([[2**2000, 1, 0], [0, 1, 0], [0, 0, 1]])
+    # 400 of the 462 5-subsets of [11]: 400! * 120^400 is above 2^5000
+    big = UniformHypergraph(11, 5, k_subsets(11, 5)[:400])
+    tiny = make_field_context(0, Backend.RANDOMIZED, epsilon=Fraction(1, 2**4500))
+    for g, T, ctx in [
+        (huge, S, RND),
+        (generic_unipotent(11), big, RND),
+        (generic_unipotent(3), S, tiny),
+    ]:
+        with pytest.raises(MathPreconditionError, match="Mersenne") as info:
+            exterior_shift(g, T, ctx)
+        assert type(info.value) is MathPreconditionError
+    assert offers == []
+
+
+def test_randomized_backend_never_eliminates_over_the_integers(monkeypatch):
+    domains = []
+    bareiss = ProfileState._offer_bareiss
+    monkeypatch.setattr(
+        ProfileState,
+        "_offer_bareiss",
+        lambda self, c: domains.append(self.dom) or bareiss(self, c),
+    )
+    family = _hg(4, 2, [[1, 3], [2, 4], [3, 4]])
+    mat = matrix_from_entries([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [3, 0, 0, 1]])
+    w = Permutation((2, 1, 4, 3, 6, 5))
+    counts = {}
+    for backend in Backend:
+        # a seed no other test uses, so no partial shift comes from the cache
+        ctx = make_field_context(0, backend, seed=4242)
+        domains.clear()
+        all_partial_shifts((family,), ctx)
+        partial_shift(RP2_TOP, w, ctx)
+        exterior_shift(mat, family, ctx)
+        counts[backend] = len(domains)
+    assert counts[Backend.RANDOMIZED] == 0
+    assert counts[Backend.SYMBOLIC] > 0
