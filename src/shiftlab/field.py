@@ -435,7 +435,7 @@ class PrimeExtensionField:
         r0 = _gfp_poly_trim(r0)
         if len(r0) != 1:
             raise InternalError("modulus of GF(p^e) is not irreducible")
-        c_inv = pow(r0[0], p - 2, p)
+        c_inv = pow(r0[0], -1, p)
         s0 = [(x * c_inv) % p for x in s0]
         s0 = (s0 + [0] * self.e)[: self.e]
         return tuple(s0)
@@ -1112,21 +1112,35 @@ class ProfileState:
     """Streaming column rank profile over a domain.
 
     Feed columns left to right with ``offer``; it answers whether the column
-    increased the rank.  Over a non-field domain the update is fraction-free
-    Bareiss-style (exact divisions only), over a field it is plain Gaussian
-    elimination.  Zero tests are exact in both cases.
+    increased the rank.  Its pivot is its first nonzero row once the earlier
+    pivots are eliminated from it.  Over a domain that is not a field (ZZ,
+    the polynomial ring) the update is fraction-free Bareiss, exact divisions
+    only, against dense pivot columns.
+
+    Over a field it is Gauss-Jordan elimination against sparse pivots
+    ``(pivot row, rows, values)``: normalized to 1 at its pivot row, a pivot
+    column is zero at every earlier row, so it is stored as the later rows
+    where it is nonzero and its entries there, and eliminating it touches
+    only those rows.  Over GF(p) entries are plain ints and a row update is
+    ``c[i] -= f * v``, with no ``%`` and no method call: k updates move an
+    entry by less than k * p**2, a few machine words, which is cheaper than
+    reducing each time.  Live entries stay congruent mod p to the residues
+    they stand for, and are reduced only where read: as a pivot's factor
+    ``f``, when tested for a pivot, or when stored as a value in [1, p).
+    Zero tests are exact in every case.
     """
 
     # many states are alive while all the cells of a family are shifted, so
     # instances carry no attribute dict
-    __slots__ = ("dom", "m", "pivot_rows", "_stack", "_fraction_free")
+    __slots__ = ("dom", "m", "pivot_rows", "_stack", "_p")
 
     def __init__(self, domain, nrows: int):
         self.dom = domain
         self.m = nrows
         self.pivot_rows: list[int] = []
         self._stack: list[tuple] = []
-        self._fraction_free = not domain.is_field
+        # the modulus selects the plain-int elimination over GF(p)
+        self._p = domain.p if isinstance(domain, PrimeField) else None
 
     @property
     def rank(self) -> int:
@@ -1135,14 +1149,13 @@ class ProfileState:
     def copy(self, rank: int | None = None) -> "ProfileState":
         """An independent state with the first ``rank`` pivots (default all).
 
-        Offers never mutate a column once it is stacked, and each pivot is
+        Offers never mutate a pivot once it is stacked, and each pivot is
         eliminated against the earlier ones only, so the first ``rank``
-        pivots are the state those offers left.  The twin shares the columns
+        pivots are the state those offers left.  The twin shares the pivots
         and costs two list copies.
         """
         twin = ProfileState.__new__(ProfileState)
-        twin.dom, twin.m = self.dom, self.m
-        twin._fraction_free = self._fraction_free
+        twin.dom, twin.m, twin._p = self.dom, self.m, self._p
         twin.pivot_rows = self.pivot_rows[:rank]
         twin._stack = self._stack[:rank]
         return twin
@@ -1153,7 +1166,7 @@ class ProfileState:
         c = list(column)
         if len(c) != self.m:
             raise InternalError("column length mismatch")
-        if self._fraction_free:
+        if not self.dom.is_field:
             return self._offer_bareiss(c)
         return self._offer_gauss(c)
 
@@ -1178,23 +1191,41 @@ class ProfileState:
         return False
 
     def _offer_gauss(self, c: list) -> bool:
-        dom = self.dom
-        for pr, u in self._stack:
-            f = c[pr]
-            if not dom.is_zero(f):
-                for i in range(self.m):
-                    if i != pr and not dom.is_zero(u[i]):
-                        c[i] = dom.sub(c[i], dom.mul(f, u[i]))
-                c[pr] = dom.zero
-        for i in range(self.m):
-            if not dom.is_zero(c[i]):
-                inv = dom.inv(c[i])
-                u = [dom.mul(x, inv) for x in c]
-                u[i] = dom.one
-                self._stack.append((i, u))
-                self.pivot_rows.append(i)
-                return True
-        return False
+        dom, p = self.dom, self._p
+        if p is not None:
+            for pr, rows, vals in self._stack:
+                f = c[pr] % p
+                if f:
+                    for i, v in zip(rows, vals):
+                        c[i] -= f * v
+                    c[pr] = 0
+            nonzero = [i for i, x in enumerate(c) if x % p]
+            if not nonzero:
+                return False
+            pr = nonzero[0]
+            inv = pow(c[pr], -1, p)
+            rows = nonzero[1:]
+            vals = [c[i] * inv % p for i in rows]
+        else:
+            sub, mul, is_zero = dom.sub, dom.mul, dom.is_zero
+            for pr, rows, vals in self._stack:
+                f = c[pr]
+                if not is_zero(f):
+                    for i, v in zip(rows, vals):
+                        c[i] = sub(c[i], mul(f, v))
+                    c[pr] = dom.zero
+            nonzero = [i for i, x in enumerate(c) if not is_zero(x)]
+            if not nonzero:
+                return False
+            pr = nonzero[0]
+            inv = dom.inv(c[pr])
+            rows = nonzero[1:]
+            vals = [mul(c[i], inv) for i in rows]
+        # lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        # short length for reuse, so tuple pivots raised the peak memory
+        self._stack.append((pr, rows, vals))
+        self.pivot_rows.append(pr)
+        return True
 
 
 def lex_first_bases(

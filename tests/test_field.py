@@ -468,15 +468,74 @@ def test_rank_profile_respects_column_order():
         _check_profiles(rows, ZZ, frac_pivots, orders)
 
 
-@pytest.mark.parametrize("p", [2, 7])
-def test_rank_profile_over_prime_fields(p):
-    gen = rng(f"rank-gf{p}")
-    fld = PrimeField(p)
+# ids "2" and "7" are the prime fields this test ran over first
+FINITE_FIELDS = {
+    "2": PrimeField(2),
+    "7": PrimeField(7),
+    "mersenne61": PrimeField(2**61 - 1),
+    "gf2e": gf_extension(2, 2**8),
+    "gf3e": gf_extension(3, 3**3),
+}
+
+
+def _sparse_rows(gen, p):
+    """Up to 10x20 over [0, p) at a random density, with a zero column and a
+    column repeated, as is or times a scalar."""
+    nrows, ncols = gen.randint(1, 10), gen.randint(3, 20)
+    density = gen.choice([0.1, 0.25, 0.5, 0.75, 1.0])
+    rows = [
+        [gen.randrange(1, p) if gen.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    zero, copy, source = gen.sample(range(ncols), 3)
+    scalar = gen.choice([1, gen.randrange(1, p)])
+    for row in rows:
+        row[zero] = 0
+        row[copy] = row[source] * scalar % p
+    return rows
+
+
+@pytest.mark.parametrize("name", list(FINITE_FIELDS))
+def test_rank_profile_over_prime_fields(name):
+    # every entry lies in the prime field, and rank does not change under
+    # field extension, so the oracle works modulo the characteristic
+    fld = FINITE_FIELDS[name]
+    p = fld.characteristic
+    oracle = lambda rows: frac_pivots_mod(rows, p)  # noqa: E731
+    gen = rng(f"rank-gf{name}")
     for _ in range(60):
         rows = [[gen.randrange(p) for _ in range(5)] for _ in range(4)]
         orders = _shuffled_orders(gen, 5, 4)
-        _check_profiles(rows, fld, lambda rows: frac_pivots_mod(rows, p), orders)
-        assert matrix_rank(rows, domain=fld) == frac_rank_mod(rows, p)
+        _check_profiles(rows, fld, oracle, orders)
+        lifted = [[fld.from_int(x) for x in row] for row in rows]
+        assert matrix_rank(lifted, domain=fld) == frac_rank_mod(rows, p)
+    for _ in range(60):
+        rows = _sparse_rows(gen, p)
+        _check_profiles(rows, fld, oracle, _shuffled_orders(gen, len(rows[0]), 1))
+
+
+@pytest.mark.parametrize("p", [3, 2**61 - 1])
+def test_prime_field_elimination_reads_any_integer(p):
+    # an entry stands for its residue: 3 is zero in GF(3)
+    fld = PrimeField(p)
+    assert matrix_rank([[p], [1]], fld) == 1
+    assert matrix_rank([[p + 1, 2], [-1, -2 * p - 2]], fld) == 1
+    gen = rng(f"rank-any-int-{p}")
+    for _ in range(60):
+        nrows, ncols = gen.randint(1, 6), gen.randint(1, 8)
+        rows = [
+            [
+                gen.randint(-3, 2) * p + (gen.randrange(p) if gen.random() < 0.6 else 0)
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        assert matrix_rank(rows, fld) == frac_rank_mod(rows, p)
+        columns = [list(col) for col in zip(*rows)]
+        orders = _shuffled_orders(gen, ncols, 3)
+        for order, kept in zip(orders, lex_first_bases(columns, nrows, fld, orders)):
+            _, want = frac_pivots_mod([[row[j] for j in order] for row in rows], p)
+            assert [t for t in range(ncols) if kept >> t & 1] == want
 
 
 def test_rank_profile_empty_matrix():
@@ -486,20 +545,26 @@ def test_rank_profile_empty_matrix():
     assert matrix_rank([]) == 0
 
 
-@pytest.mark.parametrize("domain", [ZZ, PrimeField(7)])
+@pytest.mark.parametrize(
+    "domain", [ZZ, PrimeField(7), PrimeField(2**61 - 1), gf_extension(2, 2**8)]
+)
 def test_profile_state_copy_is_independent(domain):
+    # a and b are independent in every domain here; 2 is the class of x in GF(2^e)
+    a, b = [1, 2, 3], [0, 1, 5]
+    twice_a = [domain.mul(2, x) for x in a]
+    a_plus_b = [domain.add(x, y) for x, y in zip(a, b)]
     state = ProfileState(domain, 3)
-    assert state.offer([1, 2, 3])
+    assert state.offer(a)
     twin = state.copy()
-    assert twin.offer([0, 1, 5]) and twin.rank == 2
+    assert twin.offer(b) and twin.rank == 2
     # the accepted offer grew the copy only
     assert state.rank == 1 and state.pivot_rows == [0]
-    assert not state.offer([2, 4, 6])
-    assert state.offer([0, 1, 5]) and state.pivot_rows == twin.pivot_rows
-    assert state.offer([0, 0, 1]) and not twin.copy().offer([1, 3, 8])
+    assert not state.offer(twice_a)
+    assert state.offer(b) and state.pivot_rows == twin.pivot_rows
+    assert state.offer([0, 0, 1]) and not twin.copy().offer(a_plus_b)
     # a copy cut to a prefix is the state those first offers left
     early = state.copy(1)
     assert early.rank == 1 and early.pivot_rows == [0] and state.rank == 3
-    assert not early.offer([2, 4, 6])
-    assert early.offer([0, 1, 5]) and early.pivot_rows == state.pivot_rows[:2]
+    assert not early.offer(twice_a)
+    assert early.offer(b) and early.pivot_rows == state.pivot_rows[:2]
     assert state.copy(0).rank == 0 and state.copy(0).offer([0, 0, 1])
