@@ -468,7 +468,6 @@ def test_rank_profile_respects_column_order():
         _check_profiles(rows, ZZ, frac_pivots, orders)
 
 
-# ids "2" and "7" are the prime fields this test ran over first
 FINITE_FIELDS = {
     "2": PrimeField(2),
     "7": PrimeField(7),
@@ -501,7 +500,10 @@ def test_rank_profile_over_prime_fields(name):
     # field extension, so the oracle works modulo the characteristic
     fld = FINITE_FIELDS[name]
     p = fld.characteristic
-    oracle = lambda rows: frac_pivots_mod(rows, p)  # noqa: E731
+
+    def oracle(rows):
+        return frac_pivots_mod(rows, p)
+
     gen = rng(f"rank-gf{name}")
     for _ in range(60):
         rows = [[gen.randrange(p) for _ in range(5)] for _ in range(4)]
@@ -519,6 +521,7 @@ def test_prime_field_elimination_reads_any_integer(p):
     # an entry stands for its residue: 3 is zero in GF(3)
     fld = PrimeField(p)
     assert matrix_rank([[p], [1]], fld) == 1
+    # columns (1, -1) and (2, -2) mod p
     assert matrix_rank([[p + 1, 2], [-1, -2 * p - 2]], fld) == 1
     gen = rng(f"rank-any-int-{p}")
     for _ in range(60):
