@@ -1,9 +1,11 @@
 """Recomputation targets for the golden data embedded in the package.
 
-Each target recomputes one frozen result from scratch and reports whether
-the recomputation agrees byte for byte (graphs) or value for value
-(shifts, Betti vectors, counts).  Target names are the stable interface
-used by ``shiftlab reproduce``; the descriptions say what is recomputed.
+Each target recomputes one frozen result from scratch and returns named
+checks that the recomputation agrees byte for byte (graphs) or value for
+value (shifts, Betti vectors, counts), a summary, and the objects it
+computed, which the acceptance criteria read.  Target names are the stable
+interface used by ``shiftlab reproduce``; the descriptions say what is
+recomputed.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import importlib.resources
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -30,7 +32,6 @@ from .shiftcore import (
     combinatorial_shift_matrix,
     compound_rows,
     exterior_shift,
-    full_shift,
     generic_matrix,
     generic_unipotent,
     matrix_product,
@@ -72,16 +73,29 @@ def golden_graph_json() -> str:
     return path.read_text().strip()
 
 
+# A named check and whether it held.
+Check = tuple[str, bool]
+
+
 @dataclass(frozen=True)
 class TargetResult:
+    """One target's named checks, its summary, and the objects it computed."""
+
     name: str
-    ok: bool
+    checks: tuple[Check, ...]
     seconds: float
     detail: str
+    objects: dict = field(repr=False, compare=False)
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed in self.checks)
 
     def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"{status} {self.name}: {self.detail}"
+        if self.ok:
+            return f"PASS {self.name}: {self.detail}"
+        failed = [name for name, passed in self.checks if not passed]
+        return f"FAIL {self.name}: " + "; ".join(failed)
 
 
 def _edges(entry: list) -> list[tuple[int, ...]]:
@@ -97,71 +111,76 @@ def _projective_plane() -> SimplicialComplex:
     return SimplicialComplex.from_facets(g["n"], _edges(g["facets"]))
 
 
-def _run_two_edge(seed: int) -> tuple[bool, str]:
+def _facets(K: SimplicialComplex) -> list[list[int]]:
+    return [list(f) for f in K.facets_as_tuples()]
+
+
+def _betti(K: SimplicialComplex, char: int) -> list[int]:
+    return list(betti_numbers(K, char).values)
+
+
+def _run_two_edge(seed: int):
     g = golden_data()["two_edge_flag_shift"]
     S = _hypergraph(g["n"], g["k"], g["edges"])
-    expected = [list(e) for e in g["shifted"]]
-    char = g["char"]
-    sym = make_field_context(char, Backend.SYMBOLIC)
-    rand = make_field_context(char, Backend.RANDOMIZED, seed=seed)
+    sym = make_field_context(g["char"], Backend.SYMBOLIC)
+    rand = make_field_context(g["char"], Backend.RANDOMIZED, seed=seed)
     w0 = Permutation.longest(g["n"])
-
-    via_generic = exterior_shift(generic_matrix(g["n"]), S, sym)
-    via_cell_sym = partial_shift(S, w0, sym)
-    via_cell_rand = partial_shift(S, w0, rand)
-    routes = [via_generic, via_cell_sym, via_cell_rand]
-    if any(r.edge_lists() != expected for r in routes):
-        return False, f"routes gave {[r.edge_lists() for r in routes]}, want {expected}"
-
+    routes = {
+        "symbolic generic": exterior_shift(generic_matrix(g["n"]), S, sym),
+        "symbolic cell": partial_shift(S, w0, sym),
+        "randomized cell": partial_shift(S, w0, rand),
+    }
     # distinguished minor of the all-variable matrix: rows {1,2}, columns {2,3}
     entry = compound_rows(generic_matrix(g["n"]), S).rows[0][3]
     x = MultiPoly.variable
     want = (x(1, 2) * x(2, 3) + x(1, 3) * x(2, 2)).reduce_mod(2)
-    if entry.reduce_mod(2) != want:
-        return False, f"compound entry {entry.reduce_mod(2)!r} != {want!r}"
-    return True, "symbolic generic, symbolic cell, and randomized cell routes agree"
+    checks = [(f"{route} route", T.edge_lists() == g["shifted"]) for route, T in routes.items()]
+    checks.append(("compound entry mod 2", entry.reduce_mod(2) == want))
+    detail = "symbolic generic, symbolic cell, and randomized cell routes agree"
+    return checks, detail, {"shifts": routes}
 
 
-def _run_antidiagonal(seed: int) -> tuple[bool, str]:
+def _run_antidiagonal(seed: int):
     g = golden_data()["two_edge_flag_shift"]
     n = g["n"]
     S = _hypergraph(n, g["k"], g["edges"])
-    expected = [list(e) for e in g["shifted"]]
     w0 = Permutation.longest(n)
     mat = matrix_product(generic_unipotent(n), permutation_matrix(w0))
     sym = make_field_context(g["char"], Backend.SYMBOLIC)
     rand = make_field_context(g["char"], Backend.RANDOMIZED, seed=seed)
-    got_sym = exterior_shift(mat, S, sym)
-    got_rand = exterior_shift(mat, S, rand)
-    if got_sym.edge_lists() != expected or got_rand.edge_lists() != expected:
-        return False, f"got {got_sym.edge_lists()} / {got_rand.edge_lists()}"
-
+    routes = {
+        "symbolic": exterior_shift(mat, S, sym),
+        "randomized": exterior_shift(mat, S, rand),
+    }
     # leading minor of the unipotent-times-antidiagonal matrix
     entry = compound_rows(mat, S).rows[0][0]
     x = MultiPoly.variable
     want = (x(1, 3) * x(2, 4) + x(1, 4) * x(2, 3)).reduce_mod(2)
-    if entry.reduce_mod(2) != want:
-        return False, f"compound entry {entry.reduce_mod(2)!r} != {want!r}"
-    return True, "unipotent-times-antidiagonal route matches the generic shift"
+    checks = [(f"{route} route", T.edge_lists() == g["shifted"]) for route, T in routes.items()]
+    checks.append(("compound entry mod 2", entry.reduce_mod(2) == want))
+    detail = "unipotent-times-antidiagonal route matches the generic shift"
+    return checks, detail, {"shifts": routes}
 
 
-def _run_vandermonde(seed: int) -> tuple[bool, str]:
+def _run_vandermonde(seed: int):
     g = golden_data()["vandermonde_shift"]
     S = _hypergraph(g["n"], g["k"], g["edges"])
     ctx = make_field_context(g["char"], Backend.RANDOMIZED, seed=seed)
     got_gen = exterior_shift(generic_matrix(g["n"]), S, ctx)
     got_vdm = exterior_shift(vandermonde_matrix(g["n"]), S, ctx)
-    ok_gen = got_gen.edge_lists() == [list(e) for e in g["generic_shift"]]
-    ok_vdm = got_vdm.edge_lists() == [list(e) for e in g["vandermonde_shift"]]
-    if not (ok_gen and ok_vdm):
-        return False, f"generic {got_gen.edge_lists()}, vandermonde {got_vdm.edge_lists()}"
-    return True, "generic and Vandermonde shifts both match; the two differ"
+    checks = [
+        ("generic shift", got_gen.edge_lists() == g["generic_shift"]),
+        ("Vandermonde shift", got_vdm.edge_lists() == g["vandermonde_shift"]),
+        ("the two shifts differ", got_gen != got_vdm),
+    ]
+    detail = "generic and Vandermonde shifts both match; the two differ"
+    return checks, detail, {"generic": got_gen, "vandermonde": got_vdm}
 
 
-def _run_simple_cells(seed: int) -> tuple[bool, str]:
+def _run_simple_cells(seed: int):
     n = 4
     sym = make_field_context(0, Backend.SYMBOLIC)
-    cases = 0
+    cases = agreeing = 0
     for k in range(1, n + 1):
         cols = k_subsets(n, k)
         for m in range(0, 4):
@@ -174,140 +193,133 @@ def _run_simple_cells(seed: int) -> tuple[bool, str]:
                     replaced = combinatorial_shift(S, t)
                     via_cell = partial_shift(S, t, sym)
                     via_matrix = exterior_shift(combinatorial_shift_matrix(t), S, sym)
-                    if not (replaced == via_cell == via_matrix):
-                        return False, (
-                            f"disagreement at S={S.edge_lists()} i={i}: "
-                            f"{replaced.edge_lists()} vs {via_cell.edge_lists()} "
-                            f"vs {via_matrix.edge_lists()}"
-                        )
+                    agreeing += replaced == via_cell == via_matrix
                     cases += 1
-    return True, f"edge replacement equals the cell shift on {cases} exhaustive cases"
+    checks = [("replacement, cell shift and swap matrix agree", agreeing == cases)]
+    detail = f"edge replacement equals the cell shift on {cases} exhaustive cases"
+    return checks, detail, {"cases": cases}
 
 
-def _run_graph_six_nodes(seed: int) -> tuple[bool, str]:
+def _run_graph_six_nodes(seed: int):
     ctx = make_field_context(0, Backend.RANDOMIZED, seed=seed)
     g = build_shift_graph(4, 2, 5, ctx)
     got = export_json(g)
-    if got != golden_graph_json():
-        return False, "graph JSON differs from the embedded golden file"
     acyclic, _ = is_acyclic(g)
     sink_nodes = sinks(g)
-    if not acyclic or len(sink_nodes) != 1 or not is_shifted(sink_nodes[0]):
-        return False, "expected an acyclic graph with a single shifted sink"
+    witnesses = [(src, dst, w) for (src, dst), ws in g.edges.items() for w in ws]
+    mapped = all(partial_shift(g.nodes[src], w, ctx) == g.nodes[dst] for src, dst, w in witnesses)
     identity = Permutation.identity(4)
-    witnesses = 0
-    for (src, dst), ws in g.edges.items():
-        for w in ws:
-            if w == identity:
-                return False, "identity appears as a witness"
-            if partial_shift(g.nodes[src], w, ctx) != g.nodes[dst]:
-                return False, f"witness {w.one_line()} does not map node {src} to {dst}"
-            witnesses += 1
-    roundtrip = export_json(parse_graph_json(got))
-    if roundtrip != got:
-        return False, "JSON round-trip changed the graph"
-    return True, (
-        f"6 nodes, {g.edge_count} edges, {witnesses} verified witnesses, "
-        "acyclic with one shifted sink"
+    checks = [
+        ("6 nodes", len(g.nodes) == 6),
+        ("matches the embedded export", got == golden_graph_json()),
+        ("acyclic", acyclic),
+        ("one shifted sink", len(sink_nodes) == 1 and is_shifted(sink_nodes[0])),
+        ("identity is never a witness", all(w != identity for _, _, w in witnesses)),
+        ("every witness maps its source to its target", mapped),
+        ("JSON round-trip", export_json(parse_graph_json(got)) == got),
+    ]
+    detail = (
+        f"{len(g.nodes)} nodes, {g.edge_count} edges, {len(witnesses)} verified "
+        "witnesses, acyclic with one shifted sink"
     )
+    return checks, detail, {"graph": g}
 
 
-def _run_shift_family(seed: int) -> tuple[bool, str]:
+def _run_shift_family(seed: int):
     data = golden_data()
     RP = _projective_plane()
-    base = data["projective_plane_betti"]
-    for char_text, expected in base.items():
-        got = betti_numbers(RP, int(char_text))
-        if list(got.values) != expected:
-            return False, f"base Betti over char {char_text}: {got.values}"
+    checks = [
+        (f"RP2 Betti over char {char_text}", _betti(RP, int(char_text)) == want)
+        for char_text, want in data["projective_plane_betti"].items()
+    ]
     ctx0 = make_field_context(0, Backend.RANDOMIZED, seed=seed)
-    ctx2 = make_field_context(2, Backend.RANDOMIZED, seed=seed)
+    shifts = {}
     for entry in data["projective_plane_partial_shifts"]:
         w = Permutation(tuple(entry["one_line"]))
-        K = shift_complex(RP, w, ctx0)
-        if [list(f) for f in K.facets_as_tuples()] != entry["facets"]:
-            return False, f"facets differ for w = {w.one_line()}"
-        for char in (0, 2):
-            got = betti_numbers(K, char)
-            if list(got.values) != entry["betti"]:
-                return False, f"Betti over char {char} differ for w = {w.one_line()}"
+        K = shifts[w] = shift_complex(RP, w, ctx0)
+        checks.append((f"facets for w = {w.one_line()}", _facets(K) == entry["facets"]))
+        checks += [
+            (f"Betti over char {char} for w = {w.one_line()}", _betti(K, char) == entry["betti"])
+            for char in (0, 2)
+        ]
+    ctx2 = make_field_context(2, Backend.RANDOMIZED, seed=seed)
     full2 = shift_complex(RP, Permutation.longest(6), ctx2)
     idx = data["projective_plane_full_shift_char2_index"]
     want = data["projective_plane_partial_shifts"][idx]["facets"]
-    if [list(f) for f in full2.facets_as_tuples()] != want:
-        return False, "characteristic-2 full shift facets differ"
-    return True, "all four partial shifts, their Betti vectors, and the char-2 full shift match"
+    checks.append(("char-2 full shift facets", _facets(full2) == want))
+    detail = "all four partial shifts, their Betti vectors, and the char-2 full shift match"
+    return checks, detail, {"shifts": shifts, "full_shift_char2": full2}
 
 
-def _run_contracted_closures(seed: int) -> tuple[bool, str]:
-    data = golden_data()["projective_plane_contracted"]
-    RP = _projective_plane()
-    top = RP.layer(2)
-    sizes = []
-    for char_text, want in sorted(data.items()):
-        ctx = make_field_context(int(char_text), Backend.RANDOMIZED, seed=seed)
-        g = build_shift_graph_from(top, ctx)
-        c = contract(g, ctx)
-        got_nodes = [S.edge_lists() for S in c.nodes]
-        got_edges = sorted([list(p) for p in c.edges])
-        if got_nodes != want["nodes"] or got_edges != want["edges"]:
-            return False, f"contracted graph over char {char_text} differs"
-        if len(g.nodes) != want["closure_nodes"] or g.edge_count != want["closure_edges"]:
-            return False, f"closure size over char {char_text} differs"
-        acyclic, _ = is_acyclic(c)
-        if not acyclic:
-            return False, f"contracted graph over char {char_text} has a cycle"
-        sizes.append(f"char {char_text}: {len(g.nodes)} -> {len(c.nodes)} classes")
-    return True, "; ".join(sizes)
+def _run_contracted_closures(seed: int):
+    data = golden_data()
+    top = _projective_plane().layer(2)
+    # the classes are the top layers of the partial shifts from the full shift on
+    first_class = {0: 0, 2: data["projective_plane_full_shift_char2_index"]}
+    shifts = data["projective_plane_partial_shifts"]
+    layers = [[f for f in e["facets"] if len(f) == 3] for e in shifts]
+    checks, closures, contracted, sizes = [], {}, {}, []
+    for char_text, want in sorted(data["projective_plane_contracted"].items()):
+        char = int(char_text)
+        ctx = make_field_context(char, Backend.RANDOMIZED, seed=seed)
+        g = closures[char] = build_shift_graph_from(top, ctx)
+        c = contracted[char] = contract(g, ctx)
+        classes = [S.edge_lists() for S in c.nodes]
+        size = (len(g.nodes), g.edge_count)
+        checks += [
+            (f"char {char} classes", classes == want["nodes"]),
+            (f"char {char} arrows", sorted([list(p) for p in c.edges]) == want["edges"]),
+            (f"char {char} closure size", size == (want["closure_nodes"], want["closure_edges"])),
+            (f"char {char} quotient acyclic", is_acyclic(c)[0]),
+            (f"char {char} classes are shift top layers", classes == layers[first_class[char]:]),
+        ]
+        sizes.append(f"char {char}: {len(g.nodes)} -> {len(c.nodes)} classes")
+    return checks, "; ".join(sizes), {"closures": closures, "contracted": contracted}
 
 
-def _run_certificate_tightness(seed: int) -> tuple[bool, str]:
+def _run_certificate_tightness(seed: int):
     data = golden_data()
     split = data["weak_order_certificate_split"]
     RP = _projective_plane()
     ctx0 = make_field_context(0, Backend.RANDOMIZED, seed=seed)
     base = betti_numbers(RP, 0).values
 
-    certified = []
-    preserving_other = []
+    certified, failing, preserving_other = [], [], []
     for w, image in shift_complex_all_cells(RP, ctx0).items():
         preserved = betti_numbers(image, 0).values == base
         if preserves_betti_certificate(w):
             certified.append(w)
             if not preserved:
-                return False, f"certified {w.one_line()} fails to preserve Betti numbers"
+                failing.append(w)
         elif preserved:
             preserving_other.append(w)
-    if len(certified) != split["certified"]:
-        return False, f"{len(certified)} certified permutations, want {split['certified']}"
-    if len(preserving_other) != split["other_preserving"] or not (
-        preserving_other and preserving_other[0].is_identity
-    ):
-        return False, (
-            f"uncertified preservers {[w.one_line() for w in preserving_other]}, "
-            "want exactly the identity"
-        )
 
     cyc = data["cycle_shift_char2"]
     ctx2 = make_field_context(2, Backend.RANDOMIZED, seed=seed)
     E = shift_complex(RP, Permutation(tuple(cyc["one_line"])), ctx2)
-    if [list(f) for f in E.facets_as_tuples()] != cyc["facets"]:
-        return False, "long-cycle shift facets differ"
-    if is_near_cone(E) != cyc["near_cone"]:
-        return False, "near-cone status differs"
-    if all(is_shifted(L) for L in E.layers()) != cyc["shifted"]:
-        return False, "shiftedness status differs"
-    if list(near_cone_betti(E).values) != cyc["betti"]:
-        return False, "near-cone Betti numbers differ"
-    if list(betti_numbers(E, 2).values) != cyc["betti"]:
-        return False, "boundary-rank Betti numbers differ"
-    return True, (
+    checks = [
+        ("every certified permutation preserves Betti numbers", not failing),
+        ("certified count", len(certified) == split["certified"]),
+        (
+            "only the identity preserves among the rest",
+            len(preserving_other) == split["other_preserving"]
+            and bool(preserving_other)
+            and preserving_other[0].is_identity,
+        ),
+        ("long-cycle shift facets", _facets(E) == cyc["facets"]),
+        ("near-cone status", is_near_cone(E) == cyc["near_cone"]),
+        ("shiftedness status", all(is_shifted(L) for L in E.layers()) == cyc["shifted"]),
+        ("near-cone Betti numbers", list(near_cone_betti(E).values) == cyc["betti"]),
+        ("boundary-rank Betti numbers", _betti(E, 2) == cyc["betti"]),
+    ]
+    detail = (
         f"{len(certified)}/{split['certified']} certified preserve; only the identity "
         "preserves among the rest; long-cycle image is an unshifted near cone"
     )
+    return checks, detail, {"certified": certified, "cycle_shift": E}
 
 
-TARGETS: dict[str, tuple[Callable[[int], tuple[bool, str]], str]] = {
+TARGETS: dict[str, tuple[Callable[[int], tuple[list[Check], str, dict]], str]] = {
     "two-edge-routes": (
         _run_two_edge,
         "two-edge shift via the all-variable and longest-cell matrices, char 2",
@@ -356,8 +368,9 @@ def run_target(name: str, seed: int = 0) -> TargetResult:
             + ", ".join(available_targets())
         ) from None
     start = time.monotonic()
-    ok, detail = runner(seed)
-    return TargetResult(name=name, ok=ok, seconds=time.monotonic() - start, detail=detail)
+    checks, detail, objects = runner(seed)
+    seconds = time.monotonic() - start
+    return TargetResult(name, tuple(checks), seconds, detail, objects)
 
 
 def run_targets(names: list[str], seed: int = 0) -> list[TargetResult]:

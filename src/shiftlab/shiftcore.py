@@ -91,7 +91,9 @@ INVERTIBILITY_RETRIES = 4
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 # Partial shifts kept across calls, most recent first: a repeated (S, w, ctx)
-# costs no second elimination, and no graph build keeps more than this many.
+# costs no second elimination.  Graph builds and scans shift by all cells at
+# once and never reach it; it serves the one-cell calls of partial_shift and
+# full_shift (the shift command, contracting, full-shift Betti numbers).
 PARTIAL_SHIFT_CACHE_SIZE = 1024
 
 
@@ -186,17 +188,9 @@ def generic_matrix(n: int) -> GenericMatrix:
 
 
 def generic_unipotent(n: int) -> GenericMatrix:
-    """Upper unitriangular with an independent variable above the diagonal."""
-    rows = [
-        [
-            MultiPoly.variable(i, j)
-            if i < j
-            else MultiPoly.const(1 if i == j else 0)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-    return matrix_from_entries(rows, unit_determinant=True)
+    """Upper unitriangular with an independent variable above the diagonal:
+    the cell unipotent of w0, whose inversions are all pairs i < j."""
+    return cell_unipotent(Permutation.longest(n))
 
 
 def cell_unipotent(w: Permutation) -> GenericMatrix:

@@ -17,6 +17,7 @@ assumed.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable
 
-from .combstruct import UniformHypergraph, _require_json_ints, k_subsets
+from .combstruct import UniformHypergraph, _require_json_ints, is_shifted, k_subsets
 from .errors import InputFormatError, InternalError, MathPreconditionError
 from .field import FieldContext
 from .shiftcore import (
@@ -162,10 +163,6 @@ def _assemble(
     return ShiftGraph(n=n, k=k, m=m, nodes=nodes, edges=edges)
 
 
-def _binomial(a: int, b: int) -> int:
-    return math.comb(a, b) if 0 <= b <= a else 0
-
-
 def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
     """All (target, witness) pairs with target different from S."""
     out: dict[UniformHypergraph, list[Permutation]] = {}
@@ -211,7 +208,7 @@ def build_shift_graph(
     ncols = len(k_subsets(n, k))
     if not 0 <= m <= ncols:
         raise MathPreconditionError(f"m must lie in [0, {ncols}] for (n, k) = ({n}, {k})")
-    count = _binomial(ncols, m)
+    count = math.comb(ncols, m)
     if count > max_nodes:
         raise MathPreconditionError(
             f"shift graph would have {count} nodes (cap {max_nodes}); "
@@ -284,8 +281,6 @@ def sinks(g) -> list[UniformHypergraph]:
     """Nodes with no outgoing edge.  In a full shift graph these are
     exactly the shifted hypergraphs; a non-shifted sink would contradict
     that and is flagged as an internal error."""
-    from .combstruct import is_shifted
-
     adj = _adjacency(g)
     out = [g.nodes[i] for i in range(len(g.nodes)) if not adj[i]]
     for S in out:
@@ -308,20 +303,25 @@ def is_acyclic(g) -> tuple[bool, list[int]]:
     for src in adj:
         for dst in adj[src]:
             indeg[dst] += 1
-    ready = sorted(i for i in indeg if indeg[i] == 0)
+    # a heap pops the smallest ready node, so the order is the least one
+    ready = [i for i in indeg if indeg[i] == 0]
+    heapq.heapify(ready)
     order = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        for dst in sorted(adj[i]):
+        for dst in adj[i]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
-                ready.append(dst)
-        ready.sort()
+                heapq.heappush(ready, dst)
     if len(order) == len(adj):
         return True, order
-    # extract a cycle from the leftover subgraph
-    leftover = {i for i in adj if i not in set(order)}
+    # extract a cycle from the leftover nodes that still reach one; a node
+    # downstream of every cycle has no leftover successor to walk on to
+    placed = set(order)
+    leftover = {i for i in adj if i not in placed}
+    while dead := {i for i in leftover if not adj[i] & leftover}:
+        leftover -= dead
     start = min(leftover)
     path, seen_at = [], {}
     node = start

@@ -70,95 +70,63 @@ def rng(tag: str) -> random.Random:
 # ------------------------------------------------ exact Fraction oracles
 
 
-def frac_rank(rows) -> int:
-    """Row-echelon rank over the rationals, fractions only."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j]:
-                factor = mat[i][j]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+def frac_pivots(rows, p=None) -> tuple[tuple[int, ...], list[int]]:
+    """Greedy left-to-right pivot columns over the rationals (p None) or
+    GF(p), by one Gauss-Jordan pass over the columns in order.
 
-
-def frac_rank_mod(rows, p: int) -> int:
-    """Row-echelon rank over GF(p)."""
-    mat = [[int(x) % p for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for j in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][j], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j]:
-                factor = mat[i][j]
-                mat[i] = [(x - factor * y) % p for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
-def frac_pivots(rows) -> tuple[tuple[int, ...], list[int]]:
-    """Greedy left-to-right pivot columns over the rationals.
-
-    Returns (rank prefix sequence including the empty prefix, pivot column
-    indices); a column is a pivot exactly when it enlarges the span of the
-    columns before it.
+    Returns (rank of every column prefix, the empty one first; pivot column
+    indices).  A column is a pivot exactly when it enlarges the span of the
+    columns before it, which is where the rank steps.
     """
-    if not rows:
-        return (0,), []
-    cols = len(rows[0])
-    ranks = [0]
-    pivots = []
-    for j in range(1, cols + 1):
-        r = frac_rank([row[:j] for row in rows])
-        ranks.append(r)
-        if r > ranks[-2]:
-            pivots.append(j - 1)
+    if p is None:
+        mat, reduce = [[Fraction(x) for x in row] for row in rows], lambda x: x
+    else:
+        mat, reduce = [[int(x) % p for x in row] for row in rows], lambda x: x % p
+    rank, ranks, pivots = 0, [0], []
+    for j in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if pivot is not None:
+            mat[rank], mat[pivot] = mat[pivot], mat[rank]
+            inv = 1 / mat[rank][j] if p is None else pow(mat[rank][j], -1, p)
+            mat[rank] = [reduce(x * inv) for x in mat[rank]]
+            for i in range(len(mat)):
+                if i != rank and mat[i][j]:
+                    factor = mat[i][j]
+                    mat[i] = [reduce(x - factor * y) for x, y in zip(mat[i], mat[rank])]
+            pivots.append(j)
+            rank += 1
+        ranks.append(rank)
     return tuple(ranks), pivots
 
 
 def frac_pivots_mod(rows, p: int) -> tuple[tuple[int, ...], list[int]]:
-    if not rows:
-        return (0,), []
-    cols = len(rows[0])
-    ranks = [0]
-    pivots = []
-    for j in range(1, cols + 1):
-        r = frac_rank_mod([row[:j] for row in rows], p)
-        ranks.append(r)
-        if r > ranks[-2]:
-            pivots.append(j - 1)
-    return tuple(ranks), pivots
+    return frac_pivots(rows, p)
+
+
+def frac_rank(rows) -> int:
+    """Row-echelon rank over the rationals, fractions only."""
+    return frac_pivots(rows)[0][-1]
+
+
+def frac_rank_mod(rows, p: int) -> int:
+    """Row-echelon rank over GF(p)."""
+    return frac_pivots(rows, p)[0][-1]
 
 
 def frac_det(rows) -> Fraction:
     """Determinant by Leibniz expansion; fine for the tiny sizes used here."""
     n = len(rows)
-    total = Fraction(0)
+    total = 0
     for perm in itertools.permutations(range(n)):
-        sign = 1
+        term = 1
         for a in range(n):
             for b in range(a + 1, n):
                 if perm[a] > perm[b]:
-                    sign = -sign
-        term = Fraction(1)
+                    term = -term
         for i in range(n):
-            term *= Fraction(rows[i][perm[i]])
-        total += sign * term
-    return total
+            term *= rows[i][perm[i]]
+        total += term
+    return Fraction(total)
 
 
 def frac_minor(rows, row_idx, col_idx) -> Fraction:

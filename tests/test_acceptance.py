@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import re
 import time
 from functools import lru_cache
+
+import pytest
 
 from conftest import (
     ACCEPTANCE_REPORT,
@@ -32,14 +33,12 @@ from shiftlab import (
     all_permutations,
     betti_numbers,
     build_shift_graph,
-    build_shift_graph_from,
     cell_representative,
     combinatorial_shift,
     compound_rows,
     conjecture_scan,
     contract,
     exterior_shift,
-    export_json,
     hypergraph_lex_compare,
     is_acyclic,
     is_near_cone,
@@ -54,10 +53,9 @@ from shiftlab import (
     preserves_betti_certificate,
     random_complexes,
     shift_complex,
-    sinks,
     twist,
 )
-from shiftlab.reproduce import golden_data, golden_graph_json, run_target
+from shiftlab.reproduce import TargetResult, available_targets, golden_data, run_target
 
 CTX0 = make_field_context(0, Backend.RANDOMIZED, seed=0)
 CTX2 = make_field_context(2, Backend.RANDOMIZED, seed=0)
@@ -99,16 +97,18 @@ def _projective_plane() -> SimplicialComplex:
 
 
 @lru_cache(maxsize=None)
-def _graph_4_2_5():
-    return build_shift_graph(4, 2, 5, CTX0)
+def _run(name: str) -> TargetResult:
+    """One run of each reproduce target per session, at seed 0."""
+    return run_target(name, seed=0)
 
 
-@lru_cache(maxsize=None)
-def _contracted_closure(char: int):
-    """Closure graph of the projective-plane top layer and its quotient."""
-    ctx = CTX0 if char == 0 else CTX2
-    closure = build_shift_graph_from(_projective_plane().layer(2), ctx)
-    return closure, contract(closure, ctx)
+def _passes_within(name: str, budget: float, info: dict) -> TargetResult:
+    """Run a target once; every named check holds within the time budget."""
+    result = _run(name)
+    assert result.ok, result.line()
+    assert result.seconds < budget, f"{result.seconds:.2f}s exceeds the {budget:g}s budget"
+    info["detail"] = f"{result.detail}; {result.seconds:.2f}s < {budget:g}s"
+    return result
 
 
 def _fraction_cell_hits(g) -> set[Permutation]:
@@ -137,10 +137,7 @@ def _fraction_cell_hits(g) -> set[Permutation]:
 
 def test_criterion_1_two_edge_shift_routes():
     with criterion(1) as info:
-        result = run_target("two-edge-routes", seed=0)
-        assert result.ok, result.detail
-        assert result.seconds < 1.0, f"{result.seconds:.2f}s exceeds the 1s budget"
-        info["detail"] = f"{result.detail}; {result.seconds:.2f}s < 1s"
+        _passes_within("two-edge-routes", 1.0, info)
 
 
 def test_criterion_2_vandermonde_versus_every_cell():
@@ -152,9 +149,9 @@ def test_criterion_2_vandermonde_versus_every_cell():
     # equal the one found by Fraction elimination on u.P_w for a random
     # upper-triangular integer u, with no use of the package's elimination.
     with criterion(2) as info:
+        result = _run("vandermonde-gap")
+        assert result.ok, result.line()
         start = time.monotonic()
-        result = run_target("vandermonde-gap", seed=0)
-        assert result.ok, result.detail
         g = golden_data()["vandermonde_shift"]
         S = UniformHypergraph.from_edges(g["n"], g["k"], [tuple(e) for e in g["edges"]])
         vandermonde = tuple(tuple(e) for e in g["vandermonde_shift"])
@@ -163,7 +160,7 @@ def test_criterion_2_vandermonde_versus_every_cell():
             for w in all_permutations(6)
             if _tuples(partial_shift(S, w, CTX0)) == vandermonde
         ]
-        elapsed = time.monotonic() - start
+        elapsed = result.seconds + time.monotonic() - start
         assert elapsed < 60.0, f"{elapsed:.2f}s exceeds the 60s budget"
         confirmed = [
             w for w in hits if _tuples(partial_shift(S, w, SYM)) == vandermonde
@@ -194,76 +191,33 @@ def test_criterion_2_vandermonde_versus_every_cell():
 
 def test_criterion_3_projective_plane_shift_family():
     with criterion(3) as info:
-        result = run_target("projective-shifts", seed=0)
-        assert result.ok, result.detail
-        assert result.seconds < 60.0, f"{result.seconds:.2f}s exceeds the 60s budget"
-        info["detail"] = f"{result.detail}; {result.seconds:.2f}s < 60s"
+        _passes_within("projective-shifts", 60.0, info)
 
 
 def test_criterion_4_six_node_shift_graph():
     with criterion(4) as info:
-        start = time.monotonic()
-        graph = _graph_4_2_5()
-        assert len(graph.nodes) == 6
-        acyclic, _ = is_acyclic(graph)
-        assert acyclic
-        sink_nodes = sinks(graph)
-        assert len(sink_nodes) == 1 and is_shifted(sink_nodes[0])
-        identity = Permutation.identity(4)
-        assert all(
-            identity not in witnesses for witnesses in graph.edges.values()
-        ), "identity appears in a witness set"
-        assert export_json(graph) == golden_graph_json(), (
-            "graph differs from the embedded export"
-        )
-        elapsed = time.monotonic() - start
-        assert elapsed < 10.0, f"{elapsed:.2f}s exceeds the 10s budget"
-        info["detail"] = (
-            f"6 nodes, {graph.edge_count} edges, acyclic, one shifted sink, "
-            f"identity never a witness, byte-equal to the embedded export; "
-            f"{elapsed:.2f}s < 10s"
-        )
+        _passes_within("psg-4-2-5", 10.0, info)
 
 
 def test_criterion_5_contracted_closure_graphs():
     with criterion(5) as info:
-        start = time.monotonic()
-        golden = golden_data()["projective_plane_contracted"]
-        shifts = golden_data()["projective_plane_partial_shifts"]
-        summaries = []
-        for char, offset in ((0, 0), (2, 1)):
-            closure, contracted = _contracted_closure(char)
-            want = golden[str(char)]
-            assert [S.edge_lists() for S in contracted.nodes] == want["nodes"]
-            assert sorted(contracted.edges) == [tuple(e) for e in want["edges"]]
-            assert len(closure.nodes) == want["closure_nodes"]
-            assert closure.edge_count == want["closure_edges"]
-            # the quotient classes are the top layers of the four partial-shift
-            # complexes (all four over the rationals, the last three mod 2)
-            for node, entry in zip(contracted.nodes, shifts[offset:]):
-                triangles = [f for f in entry["facets"] if len(f) == 3]
-                assert node.edge_lists() == triangles
-            summaries.append(
-                f"char {char}: {len(closure.nodes)}-node closure -> "
-                f"{len(contracted.nodes)} classes, {len(contracted.edges)} arrows"
-            )
+        contracted = _passes_within("contracted-closures", 300.0, info).objects["contracted"]
         # shape stated for the criterion: 4 classes with arrows 0->{1,2,3},
         # 1->{2,3} over the rationals; 3 classes with arrows 0->{1,2} mod 2
-        assert sorted(_contracted_closure(0)[1].edges) == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-        ]
-        assert sorted(_contracted_closure(2)[1].edges) == [(0, 1), (0, 2)]
-        elapsed = time.monotonic() - start
-        assert elapsed < 300.0, f"{elapsed:.2f}s exceeds the 300s budget"
-        info["detail"] = "; ".join(summaries) + f"; {elapsed:.2f}s < 300s"
+        assert sorted(contracted[0].edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        assert sorted(contracted[2].edges) == [(0, 1), (0, 2)]
 
 
 def test_criterion_6_certificate_split():
     with criterion(6) as info:
-        result = run_target("certificate-split", seed=0)
-        assert result.ok, result.detail
-        assert result.seconds < 600.0, f"{result.seconds:.2f}s exceeds the 600s budget"
-        info["detail"] = f"{result.detail}; {result.seconds:.2f}s < 600s"
+        _passes_within("certificate-split", 600.0, info)
+
+
+@pytest.mark.parametrize("name", available_targets())
+def test_reproduce_target_passes(name):
+    result = _run(name)
+    assert result.ok, result.line()
+    assert result.line() == f"PASS {name}: {result.detail}"
 
 
 # ----------------------------------------------------- criterion 7 suites
@@ -375,9 +329,9 @@ def _suite_functoriality():
 
 def _suite_simple_cells():
     """Edge replacement equals the simple-cell shift, exhaustive n=4 m<=3."""
-    result = run_target("simple-cells", seed=0)
-    assert result.ok, result.detail
-    count = int(re.search(r"(\d+) exhaustive cases", result.detail).group(1))
+    result = _run("simple-cells")
+    assert result.ok, result.line()
+    count = result.objects["cases"]
     assert count == 222  # 74 families on [4] with at most 3 edges, 3 swaps each
     return "simple-cells", count
 
@@ -452,7 +406,7 @@ def _suite_graph_acyclicity():
         (5, 2, 1), (5, 2, 2),
     ]
     graphs = [build_shift_graph(n, k, m, CTX0) for n, k, m in params]
-    graphs.append(_graph_4_2_5())
+    graphs.append(_run("psg-4-2-5").objects["graph"])
     graphs.append(build_shift_graph(4, 2, 2, CTX2))
     nodes = 0
     for graph in graphs:
@@ -616,11 +570,9 @@ def test_criterion_8_backend_cross_validation():
 def test_criterion_9_conjecture_scan():
     with criterion(9) as info:
         complexes = [_projective_plane(), *random_complexes(100, n=5, dim=2, seed=0)]
-        prebuilt = [
-            contract(_graph_4_2_5(), CTX0),
-            _contracted_closure(0)[1],
-            _contracted_closure(2)[1],
-        ]
+        graph = _run("psg-4-2-5").objects["graph"]
+        contracted = _run("contracted-closures").objects["contracted"]
+        prebuilt = [contract(graph, CTX0), contracted[0], contracted[2]]
         report = conjecture_scan(complexes, CTX0, prebuilt_graphs=prebuilt)
         assert all(g.acyclic for g in report.graphs), report.to_json()
         assert not report.has_violations, report.to_json()

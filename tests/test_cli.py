@@ -19,6 +19,7 @@ from shiftlab import (
     hypergraph_to_json,
     make_field_context,
 )
+from shiftlab import reproduce
 from shiftlab.cli import main
 from shiftlab.reproduce import available_targets
 
@@ -400,6 +401,16 @@ def test_reproduce_list_and_fast_target(capsys):
     assert code == 2 and "unknown reproduce target" in err
     code, _, err = run_cli(capsys, "reproduce")
     assert code == 2 and "available" in err
+
+
+def test_reproduce_names_the_failed_check_and_exits_1(capsys, monkeypatch):
+    def failing(seed):
+        return [("passing check", True), ("forced failure", False)], "never printed", {}
+
+    description = reproduce.TARGETS["two-edge-routes"][1]
+    monkeypatch.setitem(reproduce.TARGETS, "two-edge-routes", (failing, description))
+    code, out, _ = run_cli(capsys, "reproduce", "two-edge-routes")
+    assert (code, out) == (1, "FAIL two-edge-routes: forced failure\n")
 
 
 def test_version_and_console_script():

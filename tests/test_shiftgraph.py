@@ -113,6 +113,9 @@ def test_is_acyclic_finds_a_cycle():
     adj = {(src, dst) for src, dst in fake.edges}
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert (a, b) in adj
+    # the least leftover node 0 lies downstream of the cycle, with no way on
+    fake = SimpleNamespace(nodes=(0, 1, 2), edges=frozenset({(1, 2), (2, 1), (1, 0)}))
+    assert is_acyclic(fake) == (False, [1, 2])
 
 
 def test_successors_and_node_index(g422):
