@@ -23,15 +23,12 @@ from fractions import Fraction
 
 from . import __version__
 from .combstruct import (
-    SimplicialComplex,
-    complex_from_json,
-    complex_from_text,
+    UniformHypergraph,
+    _require_json_ints,
     complex_to_json,
-    faces_from_text,
     faces_to_text,
-    hypergraph_from_json,
-    hypergraph_from_text,
     hypergraph_to_json,
+    read_family,
 )
 from .errors import InputFormatError, MathPreconditionError, ShiftlabError
 from .field import Characteristic, FieldContext, MultiPoly, make_field_context
@@ -79,57 +76,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_object(text: str, kind: str, n: int | None):
-    """Parse input as ('hypergraph', H) or ('complex', K).
-
-    JSON objects declare themselves through their "edges" or "facets"
-    key, one of the two, and their "n" must equal ``n`` when one is given.
-    Text input is one face per line; with kind 'auto' it becomes a
-    hypergraph when all faces have equal size, else a complex.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"invalid JSON input: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InputFormatError("JSON input must be an object")
-        if "edges" in payload and "facets" in payload:
-            raise InputFormatError('JSON input has both "edges" and "facets"')
-        if n is not None and payload.get("n") != n:
-            raise InputFormatError(
-                f'JSON input has "n": {payload.get("n")!r}, but --n is {n}'
-            )
-        if "edges" in payload:
-            if kind == "complex":
-                return "complex", complex_from_json(stripped, facets_key="edges")
-            return "hypergraph", hypergraph_from_json(stripped)
-        if "facets" in payload:
-            if kind == "hypergraph":
-                raise InputFormatError(
-                    "facet JSON describes a complex; pass it without "
-                    "--as hypergraph"
-                )
-            return "complex", complex_from_json(stripped)
-        raise InputFormatError('JSON input needs an "edges" or "facets" key')
-    faces = faces_from_text(text)
-    if not faces:
-        raise InputFormatError("no faces found in text input")
-    if kind == "hypergraph" or (
-        kind == "auto" and len({len(f) for f in faces}) == 1
-    ):
-        return "hypergraph", hypergraph_from_text(text, n)
-    return "complex", complex_from_text(text, n)
-
-
-def _load_complex(text: str, n: int | None) -> SimplicialComplex:
-    kind, obj = _load_object(text, "auto", n)
-    if kind == "hypergraph":
-        return SimplicialComplex.from_facets(obj.n, obj.edge_lists())
-    return obj
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -186,10 +132,7 @@ def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
         n, entries = payload["n"], payload["entries"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad matrix file {spec!r}: {exc}") from exc
-    if type(n) is not int:  # neither 2.7 nor JSON true is a size
-        raise InputFormatError(
-            f"bad matrix file {spec!r}: n must be an integer, not {n!r}"
-        )
+    _require_json_ints("matrix", (), n=n)
     if n != expected_n:
         raise InputFormatError(
             f"matrix file has n={n}, input needs n={expected_n}"
@@ -235,28 +178,29 @@ def _emit(args, text: str) -> None:
 
 def _cmd_shift(args) -> int:
     ctx = _context_of(args)
-    kind, obj = _load_object(_read_text(args.input), args.as_kind, args.n)
+    obj = read_family(_read_text(args.input), args.n, args.as_kind)
+    hypergraph = isinstance(obj, UniformHypergraph)
     if args.perm is not None:
         w = parse_permutation(args.perm, obj.n)
-        if kind == "hypergraph":
+        if hypergraph:
             result = partial_shift(obj, w, ctx)
         else:
             result = shift_complex(obj, w, ctx)
     else:
         mat = _matrix_from_spec(args.matrix, obj.n)
-        if kind == "hypergraph":
+        if hypergraph:
             result = exterior_shift(mat, obj, ctx)
         else:
             result = shift_complex_by_matrix(obj, mat, ctx)
     if args.format == "text":
         faces = (
             result.edge_lists()
-            if kind == "hypergraph"
+            if hypergraph
             else [list(f) for f in result.facets_as_tuples()]
         )
         _emit(args, faces_to_text(faces))
     else:
-        writer = hypergraph_to_json if kind == "hypergraph" else complex_to_json
+        writer = hypergraph_to_json if hypergraph else complex_to_json
         _emit(args, writer(result))
     return 0
 
@@ -264,8 +208,8 @@ def _cmd_shift(args) -> int:
 def _cmd_psg(args) -> int:
     ctx = _context_of(args)
     if args.from_path is not None:
-        kind, obj = _load_object(_read_text(args.from_path), "hypergraph", args.n)
-        graph = build_shift_graph_from(obj, ctx, parallelism=args.parallelism)
+        start = read_family(_read_text(args.from_path), args.n, "hypergraph")
+        graph = build_shift_graph_from(start, ctx, parallelism=args.parallelism)
     else:
         if None in (args.n, args.k, args.m):
             raise InputFormatError("psg needs either --from FILE or all of -n, -k, -m")
@@ -285,7 +229,7 @@ def _cmd_psg(args) -> int:
 
 def _cmd_betti(args) -> int:
     Characteristic(args.char)
-    K = _load_complex(_read_text(args.input), args.n)
+    K = read_family(_read_text(args.input), args.n, "complex")
     if args.method == "near-cone":
         vector = near_cone_betti(K)
         if args.char != vector.characteristic:
@@ -304,7 +248,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_scan(args) -> int:
     ctx = _context_of(args)
-    complexes = [_load_complex(_read_text(path), None) for path in args.inputs]
+    complexes = [read_family(_read_text(path), kind="complex") for path in args.inputs]
     if args.random:
         complexes.extend(
             random_complexes(
@@ -411,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="as_kind",
         choices=("auto", "hypergraph", "complex"),
         default="auto",
-        help="force how text input is interpreted (default auto)",
+        help="read the input as this kind; complex takes the complex that "
+        "hypergraph input generates (default auto)",
     )
     p.add_argument("--n", type=int, metavar="N", help="vertex count for text input")
     p.add_argument("--format", choices=("json", "text"), default="json")

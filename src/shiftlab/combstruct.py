@@ -47,6 +47,7 @@ __all__ = [
     "faces_from_text",
     "hypergraph_from_text",
     "complex_from_text",
+    "read_family",
 ]
 
 
@@ -289,10 +290,11 @@ class SimplicialComplex:
             while bits:
                 low = bits & -bits
                 if (f ^ low) not in self.faces:
+                    face = KSubset(self.n, f).elements()
                     raise NotClosedError(
-                        f"face {_mask_to_elems(f)} present but its subset "
-                        f"{_mask_to_elems(f ^ low)} is missing",
-                        witness=_mask_to_elems(f),
+                        f"face {face} present but its subset "
+                        f"{KSubset(self.n, f ^ low).elements()} is missing",
+                        witness=face,
                     )
                 bits ^= low
         if self.faces and 0 not in self.faces:
@@ -376,15 +378,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, facets=[{shown}])"
 
 
-def _mask_to_elems(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
 def complex_from_layers(layers: Sequence[UniformHypergraph]) -> SimplicialComplex:
     """Assemble a complex from uniform layers on one vertex set, one per k.
 
@@ -445,39 +438,12 @@ def _require_json_ints(what: str, faces, **sizes) -> None:
             )
 
 
-def hypergraph_from_json(text: str) -> UniformHypergraph:
-    try:
-        payload = json.loads(text)
-        n, k, edges = payload["n"], payload["k"], payload["edges"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad hypergraph JSON: {exc}") from exc
-    _require_json_ints("hypergraph", edges, n=n, k=k)
-    try:
-        return UniformHypergraph.from_edges(n, k, edges)
-    except (MathPreconditionError, TypeError) as exc:
-        raise InputFormatError(f"bad hypergraph JSON: {exc}") from exc
-
-
 def complex_to_json(K: SimplicialComplex) -> str:
     payload = {
         "n": K.n,
         "facets": [list(f.elements()) for f in K.facets()],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def complex_from_json(text: str, facets_key: str = "facets") -> SimplicialComplex:
-    """A complex from JSON; its generating faces sit under ``facets_key``."""
-    try:
-        payload = json.loads(text)
-        n, facets = payload["n"], payload[facets_key]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad complex JSON: {exc}") from exc
-    _require_json_ints("complex", facets, n=n)
-    try:
-        return SimplicialComplex.from_facets(n, facets)
-    except (MathPreconditionError, TypeError) as exc:
-        raise InputFormatError(f"bad complex JSON: {exc}") from exc
 
 
 def faces_to_text(faces: Iterable[Iterable[int]]) -> str:
@@ -506,32 +472,84 @@ def faces_from_text(text: str) -> list[list[int]]:
     return faces
 
 
+def read_family(
+    text: str, n: int | None = None, kind: str = "auto"
+) -> UniformHypergraph | SimplicialComplex:
+    """Decode hypergraph or complex input, JSON or text: the one reader.
+
+    Input that starts with ``{`` or ``[`` is JSON: an object with integer
+    "n" and either "k" and "edges" (a hypergraph) or "facets" (the
+    generating faces of a complex), whose "n" equals ``n`` when one is
+    given.  Anything else is text for ``faces_from_text``, on ``n`` vertices
+    or as many as its largest label; uniform text is a hypergraph, mixed
+    text a complex.  ``kind`` "hypergraph" refuses a complex, and "complex"
+    turns a hypergraph into the complex its edges generate.  Every fault in
+    the input raises ``InputFormatError``.
+    """
+    if text.lstrip()[:1] in ("{", "["):
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(f"invalid JSON input: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InputFormatError("JSON input must be an object")
+        if "edges" in payload and "facets" in payload:
+            raise InputFormatError('JSON input has both "edges" and "facets"')
+        if n is not None and payload.get("n") != n:
+            raise InputFormatError(
+                f'JSON input has "n": {payload.get("n")!r}, but --n is {n}'
+            )
+        if "edges" not in payload and "facets" not in payload:
+            raise InputFormatError('JSON input needs an "edges" or "facets" key')
+        if "facets" in payload and kind == "hypergraph":
+            raise InputFormatError("facet JSON describes a complex, not a hypergraph")
+        what = "hypergraph" if "edges" in payload else "complex"
+        try:
+            if what == "hypergraph":
+                n, k, faces = payload["n"], payload["k"], payload["edges"]
+                _require_json_ints(what, faces, n=n, k=k)
+                family = UniformHypergraph.from_edges(n, k, faces)
+            else:
+                n, faces = payload["n"], payload["facets"]
+                _require_json_ints(what, faces, n=n)
+                family = SimplicialComplex.from_facets(n, faces)
+        except (KeyError, MathPreconditionError, TypeError) as exc:
+            raise InputFormatError(f"bad {what} JSON: {exc}") from exc
+    else:
+        faces = faces_from_text(text)
+        if not faces:
+            raise InputFormatError("no faces found in text input")
+        sizes = {len(f) for f in faces}
+        if kind == "hypergraph" and len(sizes) > 1:
+            raise InputFormatError(f"edges of mixed sizes {sorted(sizes)}")
+        if n is None:
+            n = max(max(f) for f in faces)
+        try:
+            if len(sizes) == 1:
+                family = UniformHypergraph.from_edges(n, sizes.pop(), faces)
+            else:
+                family = SimplicialComplex.from_facets(n, faces)
+        except MathPreconditionError as exc:
+            raise InputFormatError(str(exc)) from exc
+    if kind == "complex" and isinstance(family, UniformHypergraph):
+        return SimplicialComplex.from_facets(family.n, family.edge_lists())
+    return family
+
+
+def hypergraph_from_json(text: str) -> UniformHypergraph:
+    return read_family(text, kind="hypergraph")
+
+
+def complex_from_json(text: str) -> SimplicialComplex:
+    return read_family(text, kind="complex")
+
+
 def hypergraph_from_text(text: str, n: int | None = None) -> UniformHypergraph:
-    """Parse one edge per line; n defaults to the largest vertex seen."""
-    faces = faces_from_text(text)
-    if not faces:
-        raise InputFormatError("no edges found and no way to infer (n, k)")
-    ks = {len(f) for f in faces}
-    if len(ks) != 1:
-        raise InputFormatError(f"edges of mixed sizes {sorted(ks)}")
-    inferred = max(max(f) for f in faces)
-    if n is None:
-        n = inferred
-    try:
-        return UniformHypergraph.from_edges(n, ks.pop(), faces)
-    except MathPreconditionError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return read_family(text, n, "hypergraph")
 
 
 def complex_from_text(text: str, n: int | None = None) -> SimplicialComplex:
-    """Parse one facet per line; n defaults to the largest vertex seen."""
-    faces = faces_from_text(text)
-    if not faces:
+    """Text with no faces is the void complex; other text is ``read_family``'s."""
+    if not faces_from_text(text):
         return SimplicialComplex(0, frozenset())
-    inferred = max(max(f) for f in faces)
-    if n is None:
-        n = inferred
-    try:
-        return SimplicialComplex.from_facets(n, faces)
-    except MathPreconditionError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return read_family(text, n, "complex")

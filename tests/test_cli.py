@@ -223,12 +223,29 @@ def test_json_sizes_and_vertices_must_be_integers(tmp_path, capsys, payload):
     for argv in (("--matrix", "generic2"), ("--perm", "e")):
         code, out, err = run_cli(capsys, "shift", "-i", str(path), *argv)
         assert (code, out) == (2, "") and "must be an integer" in err
-    if "edges" in payload and type(payload["k"]) is int:
-        # read as a complex, edges are facets and k goes unread
-        code, out, err = run_cli(
-            capsys, "shift", "-i", str(path), "--perm", "e", "--as", "complex"
-        )
-        assert (code, out) == (2, "") and "must be an integer" in err
+    if "edges" in payload:
+        # edge JSON read as a complex is checked as hypergraph JSON first
+        for argv in (("shift", "-i", str(path), "--perm", "e", "--as", "complex"),
+                     ("betti", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "") and "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ({"n": 4, "k": 2, "edges": [[1, 2, 3]]}, "is not a 2-subset"),
+        ({"n": 4, "edges": [[1, 2]]}, "'k'"),
+    ],
+    ids=["3-vertex-edge", "no-k"],
+)
+def test_edge_json_read_as_a_complex_gets_hypergraph_checks(tmp_path, capsys, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    for argv in (("shift", "-i", str(path), "--perm", "e", "--as", "complex"),
+                 ("betti", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "bad hypergraph JSON" in err and message in err
 
 
 def test_shift_output_file(tmp_path, capsys):
@@ -239,6 +256,74 @@ def test_shift_output_file(tmp_path, capsys):
     assert out == ""
     assert json.loads(dest.read_text())["edges"] == [[1, 2]]
     assert dest.read_text().endswith("\n")
+
+
+# ------------------------------------------------- one family, every form
+
+# the hypergraph {14, 23, 24} on 4 vertices, and RP^2 with a redundant face
+FAMILY_FORMS = {
+    "json": json.dumps({"n": 4, "k": 2, "edges": [[1, 4], [2, 3], [2, 4]]}),
+    "text": "# three edges\n1 4\n2 3  # middle\n\n2 4\n",
+    "commas": "1,4\n2, 3\n2,4\n",
+    "stdin": "1 4\n2 3\n2 4\n",
+}
+COMPLEX_FORMS = {
+    "facet-json": json.dumps({"n": 6, "facets": RP2_FACETS}),
+    "mixed-text": "".join(" ".join(map(str, f)) + "\n" for f in RP2_FACETS) + "1 2\n",
+    "edge-json": json.dumps({"n": 6, "k": 3, "edges": RP2_FACETS}),
+}
+
+
+def _outputs(capsys, monkeypatch, tmp_path, text, stdin, commands):
+    import io
+
+    path = tmp_path / "family"
+    path.write_text(text)
+    target = "-" if stdin else str(path)
+    outs = []
+    for argv in commands:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        outs.append(run_ok(capsys, *(target if a == "FILE" else a for a in argv)))
+    return outs
+
+
+@pytest.mark.parametrize("form", sorted(FAMILY_FORMS))
+def test_one_hypergraph_in_every_form(tmp_path, capsys, monkeypatch, form):
+    commands = (("shift", "-i", "FILE", "--perm", "w0"), ("psg", "--from", "FILE"))
+    want = _outputs(capsys, monkeypatch, tmp_path, FAMILY_FORMS["json"], False, commands)
+    got = _outputs(capsys, monkeypatch, tmp_path, FAMILY_FORMS[form], form == "stdin", commands)
+    assert got == want
+    assert json.loads(want[0]) == {"n": 4, "k": 2, "edges": [[1, 2], [1, 3], [1, 4]]}
+
+
+@pytest.mark.parametrize("form", sorted(COMPLEX_FORMS))
+def test_one_complex_in_every_form(tmp_path, capsys, monkeypatch, form):
+    commands = (
+        ("betti", "FILE", "--char", "2"),
+        ("shift", "-i", "FILE", "--perm", "w0", "--as", "complex", "--char", "2"),
+    )
+    want = _outputs(capsys, monkeypatch, tmp_path, COMPLEX_FORMS["facet-json"], False, commands)
+    got = _outputs(capsys, monkeypatch, tmp_path, COMPLEX_FORMS[form], False, commands)
+    assert got == want
+    assert json.loads(want[0]) == {"betti": [1, 1, 1], "char": 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shift", "-i", "FILE", "--perm", "e"),
+        ("shift", "-i", "FILE", "--perm", "e", "--as", "complex"),
+        ("psg", "--from", "FILE"),
+        ("betti", "FILE"),
+        ("scan", "FILE"),
+    ],
+)
+def test_text_with_no_faces_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "empty.txt"
+    for text in ("", "# a comment only\n\n"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert (code, out) == (2, "") and "no faces found" in err
 
 
 # -------------------------------------------------------------------- psg
@@ -291,9 +376,12 @@ def test_psg_from_file(tmp_path, capsys):
     assert run_ok(capsys, "psg", "--from", str(path)) == want
 
 
-def test_psg_error_exits(capsys):
+def test_psg_error_exits(capsys, rp2_file):
     code, _, err = run_cli(capsys, "psg", "-n", "4", "-k", "2")
     assert code == 2 and "psg needs" in err
+    # psg has no --as, so the refusal names none
+    code, out, err = run_cli(capsys, "psg", "--from", rp2_file)
+    assert (code, out) == (2, "") and "not a hypergraph" in err and "--as" not in err
     code, _, err = run_cli(
         capsys, "psg", "-n", "4", "-k", "2", "-m", "2", "--max-nodes", "3"
     )
@@ -339,6 +427,10 @@ def test_betti_text_input_and_errors(tmp_path, capsys, monkeypatch):
     rp.write_text(json.dumps({"n": 6, "facets": RP2_FACETS}))
     code, _, _ = run_cli(capsys, "betti", str(rp), "--char", "6")
     assert code == 3
+    # JSON that is no object is not read as text
+    rp.write_text("[1,2]")
+    code, out, err = run_cli(capsys, "betti", str(rp))
+    assert (code, out) == (2, "") and "JSON input must be an object" in err
 
 
 # ------------------------------------------------------------------- scan

@@ -29,6 +29,7 @@ from shiftlab import (
     is_shifted,
     k_subsets,
     lex_compare,
+    read_family,
     subset_rank,
     subset_unrank,
 )
@@ -391,6 +392,27 @@ def test_complex_from_text():
     assert complex_from_text("").dim == -2
     assert complex_from_text("1 2\n", n=5).n == 5
     assert complex_from_text("1,2,3\n3, 4\n") == K
+
+
+def test_read_family_decides_the_kind():
+    h = UniformHypergraph.from_edges(4, 2, [[1, 2], [3, 4]])
+    K = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+    edge_json, facet_json = hypergraph_to_json(h), complex_to_json(K)
+    assert read_family("1 2\n3 4\n") == h
+    assert read_family(edge_json) == h and read_family(facet_json) == K
+    assert read_family("1 2\n3 4\n", kind="complex") == K
+    assert read_family(edge_json, kind="complex") == complex_from_json(edge_json) == K
+    assert read_family("1 2 3\n3 4\n") == complex_from_text("1 2 3\n3 4\n")
+    assert read_family("1 2\n", n=6) == hypergraph_from_text("1 2\n", n=6)
+    for text, n, kind in (
+        (facet_json, None, "hypergraph"),  # a complex is no hypergraph
+        ("1 2\n1 2 3\n", None, "hypergraph"),
+        ("", None, "complex"),  # only complex_from_text reads no faces as void
+        ("[1, 2]", None, "auto"),
+        (edge_json, 5, "auto"),  # "n" must match
+    ):
+        with pytest.raises(InputFormatError):
+            read_family(text, n, kind)
 
 
 def test_fvector_indexing():
