@@ -497,7 +497,7 @@ def read_family(
             raise InputFormatError('JSON input has both "edges" and "facets"')
         if n is not None and payload.get("n") != n:
             raise InputFormatError(
-                f'JSON input has "n": {payload.get("n")!r}, but --n is {n}'
+                f'JSON input has "n": {payload.get("n")!r}, but n is {n}'
             )
         if "edges" not in payload and "facets" not in payload:
             raise InputFormatError('JSON input needs an "edges" or "facets" key')
@@ -549,7 +549,8 @@ def hypergraph_from_text(text: str, n: int | None = None) -> UniformHypergraph:
 
 
 def complex_from_text(text: str, n: int | None = None) -> SimplicialComplex:
-    """Text with no faces is the void complex; other text is ``read_family``'s."""
+    """Text with no faces is the void complex on ``n`` vertices (default 0);
+    other text is ``read_family``'s."""
     if not faces_from_text(text):
-        return SimplicialComplex(0, frozenset())
+        return SimplicialComplex(n or 0, frozenset())
     return read_family(text, n, "complex")

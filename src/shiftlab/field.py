@@ -1132,19 +1132,23 @@ class ProfileState:
 
     # many states are alive while all the cells of a family are shifted, so
     # instances carry no attribute dict
-    __slots__ = ("dom", "m", "pivot_rows", "_stack", "_p")
+    __slots__ = ("dom", "m", "_stack", "_p")
 
     def __init__(self, domain, nrows: int):
         self.dom = domain
         self.m = nrows
-        self.pivot_rows: list[int] = []
         self._stack: list[tuple] = []
         # the modulus selects the plain-int elimination over GF(p)
         self._p = domain.p if isinstance(domain, PrimeField) else None
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._stack)
+
+    @property
+    def pivot_rows(self) -> list[int]:
+        # entry 0 of a stacked pivot is its pivot row, Bareiss or Gauss
+        return [pivot[0] for pivot in self._stack]
 
     def copy(self, rank: int | None = None) -> "ProfileState":
         """An independent state with the first ``rank`` pivots (default all).
@@ -1152,11 +1156,10 @@ class ProfileState:
         Offers never mutate a pivot once it is stacked, and each pivot is
         eliminated against the earlier ones only, so the first ``rank``
         pivots are the state those offers left.  The twin shares the pivots
-        and costs two list copies.
+        and costs one list copy.
         """
         twin = ProfileState.__new__(ProfileState)
         twin.dom, twin.m, twin._p = self.dom, self.m, self._p
-        twin.pivot_rows = self.pivot_rows[:rank]
         twin._stack = self._stack[:rank]
         return twin
 
@@ -1186,7 +1189,6 @@ class ProfileState:
             if i not in done and not dom.is_zero(c[i]):
                 prev = self._stack[-1][2] if self._stack else dom.one
                 self._stack.append((i, c, c[i], prev))
-                self.pivot_rows.append(i)
                 return True
         return False
 
@@ -1224,7 +1226,6 @@ class ProfileState:
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # short length for reuse, so tuple pivots raised the peak memory
         self._stack.append((pr, rows, vals))
-        self.pivot_rows.append(pr)
         return True
 
 

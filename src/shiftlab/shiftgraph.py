@@ -24,7 +24,6 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Iterable
 
 from .combstruct import UniformHypergraph, _require_json_ints, is_shifted, k_subsets
 from .errors import InputFormatError, InternalError, MathPreconditionError
@@ -58,7 +57,38 @@ def _node_sort_key(S: UniformHypergraph):
 
 
 @dataclass(frozen=True)
-class ShiftGraph:
+class _Graph:
+    """Nodes and the index pairs of ``edges``, which each subclass adds."""
+
+    n: int
+    k: int
+    m: int
+    nodes: tuple[UniformHypergraph, ...]
+
+    def __post_init__(self):
+        count = len(self.nodes)
+        for src, dst in self.edges:
+            if not 0 <= src < count or not 0 <= dst < count:
+                raise MathPreconditionError("edge endpoint out of range")
+            if src == dst:
+                raise MathPreconditionError("shift graphs have no self-loops")
+
+    @cached_property
+    def _index(self) -> dict[UniformHypergraph, int]:
+        return {S: i for i, S in enumerate(self.nodes)}
+
+    def node_index(self, S: UniformHypergraph) -> int:
+        try:
+            return self._index[S]
+        except KeyError:
+            raise MathPreconditionError("hypergraph is not a node of this graph")
+
+    def successors(self, i: int) -> list[int]:
+        return sorted(dst for (src, dst) in self.edges if src == i)
+
+
+@dataclass(frozen=True)
+class ShiftGraph(_Graph):
     """Immutable shift graph with full witness sets on every edge.
 
     ``nodes`` are deduplicated and sorted by their edge lists; ``edges``
@@ -68,41 +98,16 @@ class ShiftGraph:
     identity never appears.
     """
 
-    n: int
-    k: int
-    m: int
-    nodes: tuple[UniformHypergraph, ...]
     edges: dict[tuple[int, int], tuple[Permutation, ...]] = dataclass_field(
         default_factory=dict
     )
 
     def __post_init__(self):
-        for S in self.nodes:
-            if (S.n, S.k, S.m) != (self.n, self.k, self.m):
-                raise MathPreconditionError(
-                    "all graph nodes must share the same (n, k, m)"
-                )
-        count = len(self.nodes)
-        for (src, dst), witnesses in self.edges.items():
-            if not 0 <= src < count or not 0 <= dst < count:
-                raise MathPreconditionError("edge endpoint out of range")
-            if src == dst:
-                raise MathPreconditionError("shift graphs have no self-loops")
-            if not witnesses:
-                raise MathPreconditionError("every edge needs at least one witness")
-
-    @cached_property
-    def _index(self) -> dict[UniformHypergraph, int]:
-        return {S: i for i, S in enumerate(self.nodes)}
-
-    def node_index(self, S: UniformHypergraph) -> int:
-        try:
-            return self._index[S]
-        except KeyError:
-            raise MathPreconditionError("hypergraph is not a node of this graph")
-
-    def successors(self, i: int) -> list[int]:
-        return sorted(dst for (src, dst) in self.edges if src == i)
+        if any((S.n, S.k, S.m) != (self.n, self.k, self.m) for S in self.nodes):
+            raise MathPreconditionError("all graph nodes must share the same (n, k, m)")
+        super().__post_init__()
+        if not all(self.edges.values()):
+            raise MathPreconditionError("every edge needs at least one witness")
 
     @property
     def edge_count(self) -> int:
@@ -110,7 +115,7 @@ class ShiftGraph:
 
 
 @dataclass(frozen=True)
-class ContractedShiftGraph:
+class ContractedShiftGraph(_Graph):
     """Quotient of a shift graph by equality of full shifts.
 
     Every node is a shifted hypergraph (the common full shift of its
@@ -118,49 +123,7 @@ class ContractedShiftGraph:
     quotient self-loops dropped.
     """
 
-    n: int
-    k: int
-    m: int
-    nodes: tuple[UniformHypergraph, ...]
     edges: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        count = len(self.nodes)
-        for src, dst in self.edges:
-            if not 0 <= src < count or not 0 <= dst < count:
-                raise MathPreconditionError("edge endpoint out of range")
-            if src == dst:
-                raise MathPreconditionError("contracted graphs drop self-loops")
-
-    @cached_property
-    def _index(self) -> dict[UniformHypergraph, int]:
-        return {S: i for i, S in enumerate(self.nodes)}
-
-    def node_index(self, S: UniformHypergraph) -> int:
-        try:
-            return self._index[S]
-        except KeyError:
-            raise MathPreconditionError("hypergraph is not a node of this graph")
-
-    def successors(self, i: int) -> list[int]:
-        return sorted(dst for (src, dst) in self.edges if src == i)
-
-
-def _assemble(
-    n: int,
-    k: int,
-    m: int,
-    node_set: Iterable[UniformHypergraph],
-    raw_edges: dict[tuple[UniformHypergraph, UniformHypergraph], list[Permutation]],
-) -> ShiftGraph:
-    nodes = tuple(sorted(node_set, key=_node_sort_key))
-    index = {S: i for i, S in enumerate(nodes)}
-    edges = {}
-    for (src, dst), witnesses in raw_edges.items():
-        edges[(index[src], index[dst])] = tuple(
-            sorted(witnesses, key=lambda w: w.images)
-        )
-    return ShiftGraph(n=n, k=k, m=m, nodes=nodes, edges=edges)
 
 
 def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
@@ -191,6 +154,32 @@ def _map_shift_edges(
         return pool.map(worker, nodes)
 
 
+def _close(
+    start: list[UniformHypergraph], ctx: FieldContext, parallelism: int
+) -> ShiftGraph:
+    """The graph on every family reachable from ``start`` by partial shifts.
+
+    Each node is expanded once, a frontier batch at a time; witnesses come
+    in ``all_permutations`` order, which is one-line order.
+    """
+    seen = set(start)
+    frontier = start
+    arrows = []
+    while frontier:
+        batch, frontier = frontier, []
+        for S, successors in zip(batch, _map_shift_edges(batch, ctx, parallelism)):
+            for T, witnesses in successors.items():
+                arrows.append((S, T, witnesses))
+                if T not in seen:
+                    seen.add(T)
+                    frontier.append(T)
+    nodes = tuple(sorted(seen, key=_node_sort_key))
+    index = {S: i for i, S in enumerate(nodes)}
+    edges = {(index[S], index[T]): tuple(ws) for S, T, ws in arrows}
+    first = start[0]
+    return ShiftGraph(n=first.n, k=first.k, m=first.m, nodes=nodes, edges=edges)
+
+
 def build_shift_graph(
     n: int,
     k: int,
@@ -201,6 +190,7 @@ def build_shift_graph(
 ) -> ShiftGraph:
     """The full shift graph on all m-edge k-uniform hypergraphs on [n].
 
+    No partial shift leaves the m-edge families, so this is their closure.
     Refuses to enumerate more than ``max_nodes`` nodes; for larger
     parameter triples, build the reachable subgraph of a single start
     hypergraph with build_shift_graph_from instead.
@@ -215,37 +205,18 @@ def build_shift_graph(
             "use build_shift_graph_from for the reachable subgraph of one "
             "start hypergraph"
         )
-    nodes = [
+    families = [
         UniformHypergraph(n, k, combo)
         for combo in itertools.combinations(k_subsets(n, k), m)
     ]
-    raw_edges: dict = {}
-    successor_maps = _map_shift_edges(nodes, ctx, parallelism)
-    for S, successors in zip(nodes, successor_maps):
-        for T, witnesses in successors.items():
-            raw_edges[(S, T)] = witnesses
-    return _assemble(n, k, m, nodes, raw_edges)
+    return _close(families, ctx, parallelism)
 
 
 def build_shift_graph_from(
     S: UniformHypergraph, ctx: FieldContext, parallelism: int = 1
 ) -> ShiftGraph:
     """Reachable subgraph: close S under partial shifts by all permutations."""
-    seen = {S}
-    frontier = [S]
-    raw_edges: dict = {}
-    while frontier:
-        batch = frontier
-        frontier = []
-        for current, successors in zip(
-            batch, _map_shift_edges(batch, ctx, parallelism)
-        ):
-            for T, witnesses in successors.items():
-                raw_edges[(current, T)] = witnesses
-                if T not in seen:
-                    seen.add(T)
-                    frontier.append(T)
-    return _assemble(S.n, S.k, S.m, seen, raw_edges)
+    return _close([S], ctx, parallelism)
 
 
 def contract(g: ShiftGraph, ctx: FieldContext) -> ContractedShiftGraph:

@@ -182,11 +182,11 @@ def test_json_input_must_match_n(tmp_path, capsys, rp2_file):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({"n": 4, "k": 2, "edges": [[1, 2], [2, 3]]}))
     code, out, err = run_cli(capsys, "shift", "-i", str(path), "--perm", "w0", "--n", "7")
-    assert (code, out) == (2, "") and '"n": 4, but --n is 7' in err
+    assert (code, out) == (2, "") and '"n": 4, but n is 7' in err
     code, out, err = run_cli(capsys, "psg", "--from", str(path), "-n", "5")
-    assert (code, out) == (2, "") and "--n is 5" in err
+    assert (code, out) == (2, "") and "but n is 5" in err
     code, out, err = run_cli(capsys, "betti", rp2_file, "--n", "7")
-    assert (code, out) == (2, "") and '"n": 6, but --n is 7' in err
+    assert (code, out) == (2, "") and '"n": 6, but n is 7' in err
     # a matching --n changes nothing
     plain = run_ok(capsys, "shift", "-i", str(path), "--perm", "w0")
     assert run_ok(capsys, "shift", "-i", str(path), "--perm", "w0", "--n", "4") == plain

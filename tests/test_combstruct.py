@@ -390,6 +390,7 @@ def test_complex_from_text():
     K = complex_from_text("1 2 3\n3 4\n")
     assert K == SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]])
     assert complex_from_text("").dim == -2
+    assert complex_from_text("", n=5).n == 5
     assert complex_from_text("1 2\n", n=5).n == 5
     assert complex_from_text("1,2,3\n3, 4\n") == K
 

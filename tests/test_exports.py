@@ -93,7 +93,9 @@ def _call_sites(callee: str) -> set[str]:
 
 
 def test_each_kernel_has_one_entry():
-    # every greedy column choice runs in one loop, and every randomized
-    # point is drawn by the one invertibility-retry loop
+    # every greedy column choice runs in one loop, every randomized point is
+    # drawn by the one invertibility-retry loop, and both shift graph
+    # builders expand their nodes in the one closure loop
     assert _call_sites("offer") == {"field.lex_first_bases"}
     assert _call_sites("sample_eval_point") == {"shiftcore._invertible_evaluation"}
+    assert _call_sites("_map_shift_edges") == {"shiftgraph._close"}

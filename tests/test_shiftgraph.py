@@ -159,6 +159,28 @@ def test_reachable_subgraph_of_a_shifted_family_is_a_point():
     assert not g.edges
 
 
+def test_reachable_subgraphs_are_the_full_graph_restricted(g423):
+    # each start's closure is the part of the full graph reachable from it,
+    # with the same arrows and the same witness tuples
+    acyclic, order = is_acyclic(g423)
+    assert acyclic and len(g423.nodes) == 20
+    reach = {i: {i} for i in order}
+    for i in reversed(order):
+        for j in g423.successors(i):
+            reach[i] |= reach[j]
+    for i, S in enumerate(g423.nodes):
+        g = build_shift_graph_from(S, RND)
+        assert set(g.nodes) == {g423.nodes[j] for j in reach[i]}
+        arrows = {
+            (g.nodes[a], g.nodes[b]): ws for (a, b), ws in g.edges.items()
+        }
+        assert arrows == {
+            (g423.nodes[a], g423.nodes[b]): ws
+            for (a, b), ws in g423.edges.items()
+            if a in reach[i]
+        }
+
+
 # ------------------------------------------------------------ contraction
 
 
