@@ -15,9 +15,12 @@ coefficients of every minor it decides, and eliminates there by Gauss
 sample from a SHA-256 counter stream keyed by (seed, call fingerprint,
 attempt), which makes results reproducible and independent of call
 order.  The modulus of GF(p^e) is the first candidate from a seeded
-stream that passes Rabin's
-irreducibility test, run in the candidate's own ring GF(p)[x]/(f) with
-the multiply of the field it would define.
+stream that passes Ben-Or's irreducibility test, run in the candidate's
+own ring GF(p)[x]/(f) with the multiply of the field it would define.
+GF(2^e) works on packed ints with no bit-serial loop: a product is
+reduced one top byte at a time through a per-field table of multiples of
+the modulus, and an inverse is one extended Euclid that updates the
+remainder and its cofactor in the same shift-and-XOR step.
 
 All scalars are plain Python data (ints, tuples of ints); each concrete
 domain is a small object bundling the ring operations for them.
@@ -286,6 +289,7 @@ class BinaryExtensionField:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
+        self._fold: list[int] | None = None
 
     def add(self, a, b):
         return a ^ b
@@ -317,45 +321,52 @@ class BinaryExtensionField:
             r ^= int((wide * spread).to_bytes(size, "big").translate(_PARITY), 2) << shift
             b >>= 255
             shift += 255
-        m, e = self.modulus, self.e
+        # Clear the top byte above degree e - 1 per step: fold[b] is the
+        # multiple of the modulus whose bits e..e+7 spell b.
+        e = self.e
         rl = r.bit_length()
-        while rl > e:
-            r ^= m << (rl - 1 - e)
-            rl = r.bit_length()
+        if rl > e:
+            fold = self._fold or self._fold_table()
+            while rl > e:
+                s = rl - 8 if rl - 8 > e else e
+                r ^= fold[r >> s] << (s - e)
+                rl = r.bit_length()
         return r
+
+    def _fold_table(self) -> list[int]:
+        """``fold[b] = b*x^e + (b*x^e mod m)`` for every byte b, built on first use."""
+        m, e = self.modulus, self.e
+        # fold is GF(2)-linear in b, so fold[b | 1 << k] = fold[b] ^ g for
+        # b < 1 << k, where g = fold[1 << k] is m times x^k plus lower terms
+        fold, g = [0], m
+        for _ in range(8):
+            fold += [f ^ g for f in fold]
+            g <<= 1
+            if g >> e & 1:
+                g ^= m
+        self._fold = fold
+        return fold
 
     def inv(self, a):
         if a == 0:
             raise MathPreconditionError("division by zero in GF(2^e)")
-        # extended Euclid in GF(2)[x] on bit-packed polynomials
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q = 0
-            r = r0
-            d1 = r1.bit_length()
-            while r.bit_length() >= d1:
-                shift = r.bit_length() - d1
-                r ^= r1 << shift
-                q ^= 1 << shift
-            r0, r1 = r1, r
-            prod = 0
-            qq, ss = q, s1
-            while qq:
-                if qq & 1:
-                    prod ^= ss
-                ss <<= 1
-                qq >>= 1
-            s0, s1 = s1, s0 ^ prod
-        if r0 != 1:
+        # Extended Euclid in GF(2)[x] on packed polynomials, one shift-and-XOR
+        # step at a time on the remainder u and its cofactor g (g * a = u mod
+        # m, and likewise h * a = v).  deg g + deg v and deg h + deg u stay at
+        # most e, and v, the modulus or a former u, is never 0 or 1, so g
+        # ends reduced, below degree e.
+        u, v, g, h = a, self.modulus, 1, 0
+        du, dv = u.bit_length(), v.bit_length()
+        while du > 1:
+            j = du - dv
+            if j < 0:
+                u, v, g, h, du, dv, j = v, u, h, g, dv, du, -j
+            u ^= v << j
+            g ^= h << j
+            du = u.bit_length()
+        if u != 1:
             raise InternalError("modulus of GF(2^e) is not irreducible")
-        # s0 may exceed degree e - 1; reduce it
-        m, e = self.modulus, self.e
-        rl = s0.bit_length()
-        while rl > e:
-            s0 ^= m << (rl - 1 - e)
-            rl = s0.bit_length()
-        return s0
+        return g
 
     def exact_div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -532,11 +543,27 @@ def _extension_ring(p: int, coeffs: Sequence[int]):
     return PrimeExtensionField(p, len(coeffs) - 1, tuple(coeffs))
 
 
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Rabin's irreducibility test for a monic polynomial f over GF(p).
+def _gf2_poly_gcd(a: int, b: int) -> int:
+    """gcd in GF(2)[x] of bit-packed polynomials."""
+    while b:
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
+    return a
 
-    The powers x^(p^k) mod f come from k Frobenius steps y -> y^p in the ring
-    GF(p)[x]/(f), with the same multiply as the field that f defines.
+
+def _is_irreducible(coeffs: list[int], p: int) -> bool:
+    """Ben-Or's irreducibility test for a monic polynomial f over GF(p).
+
+    f of degree e is irreducible iff gcd(f, x^(p^i) - x) = 1 for every
+    i <= e/2, since a reducible f has an irreducible factor of some degree
+    i <= e/2, which divides x^(p^i) - x.  The test returns at the first
+    nontrivial gcd.  x^(p^i) mod f comes from i Frobenius steps y -> y^p in
+    the ring GF(p)[x]/(f), with the same multiply as the field that f
+    defines; over GF(2) the gcd runs on packed ints.
     """
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
@@ -544,19 +571,13 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     if e == 1:
         return True
     ring = _extension_ring(p, coeffs)
-    x = ring.sample(p)  # the class of x: index p is the digit string "10"
-    divisors = {e // q for q in _prime_factors(e)}
-    powers, y = {}, x
-    for k in range(1, e + 1):
+    x = y = ring.sample(p)  # the class of x: index p is the digit string "10"
+    for _ in range(e // 2):
         y = _domain_pow(ring, y, p)
-        if k in divisors:
-            powers[k] = y
-    # x^(p^e) must equal x mod f
-    if y != x:
-        return False
-    for power in powers.values():
-        digits = list(power) if p > 2 else [int(c) for c in bin(power)[:1:-1]]
-        if len(_gfp_poly_gcd(coeffs, _gfp_poly_sub(digits, [0, 1], p), p)) != 1:
+        if p == 2:
+            if _gf2_poly_gcd(ring.modulus, y ^ x) != 1:
+                return False
+        elif len(_gfp_poly_gcd(coeffs, _gfp_poly_sub(list(y), [0, 1], p), p)) != 1:
             return False
     return True
 
@@ -581,8 +602,9 @@ def gf_extension(p: int, min_size: int, seed: int = 0):
     """A field GF(p^e) of size at least ``min_size``, e minimal.
 
     The irreducible modulus is found deterministically from ``seed`` by
-    rejection sampling with Rabin's irreducibility test, which runs in each
-    candidate's own ring GF(p)[x]/(f); results are cached per (p, e, seed).
+    rejection sampling with Ben-Or's irreducibility test, which runs in each
+    candidate's own ring GF(p)[x]/(f) and rejects most candidates after a
+    step or two; results are cached per (p, e, seed).
     """
     if not is_prime(p):
         raise InvalidCharacteristicError(f"{p} is not prime")
@@ -1121,8 +1143,9 @@ class ProfileState:
     ``(pivot row, rows, values)``: normalized to 1 at its pivot row, a pivot
     column is zero at every earlier row, so it is stored as the later rows
     where it is nonzero and its entries there, and eliminating it touches
-    only those rows.  Over GF(p) entries are plain ints and a row update is
-    ``c[i] -= f * v``, with no ``%`` and no method call: k updates move an
+    only those rows; a pivot with no later nonzero row stores nothing and
+    is never inverted.  Over GF(p) entries are plain ints and a row update
+    is ``c[i] -= f * v``, with no ``%`` and no method call: k updates move an
     entry by less than k * p**2, a few machine words, which is cheaper than
     reducing each time.  Live entries stay congruent mod p to the residues
     they stand for, and are reduced only where read: as a pivot's factor
@@ -1204,10 +1227,10 @@ class ProfileState:
             nonzero = [i for i, x in enumerate(c) if x % p]
             if not nonzero:
                 return False
-            pr = nonzero[0]
-            inv = pow(c[pr], -1, p)
-            rows = nonzero[1:]
-            vals = [c[i] * inv % p for i in rows]
+            pr, rows, vals = nonzero[0], nonzero[1:], []
+            if rows:
+                inv = pow(c[pr], -1, p)
+                vals = [c[i] * inv % p for i in rows]
         else:
             sub, mul, is_zero = dom.sub, dom.mul, dom.is_zero
             for pr, rows, vals in self._stack:
@@ -1219,10 +1242,10 @@ class ProfileState:
             nonzero = [i for i, x in enumerate(c) if not is_zero(x)]
             if not nonzero:
                 return False
-            pr = nonzero[0]
-            inv = dom.inv(c[pr])
-            rows = nonzero[1:]
-            vals = [mul(c[i], inv) for i in rows]
+            pr, rows, vals = nonzero[0], nonzero[1:], []
+            if rows:
+                inv = dom.inv(c[pr])
+                vals = [mul(c[i], inv) for i in rows]
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # short length for reuse, so tuple pivots raised the peak memory
         self._stack.append((pr, rows, vals))

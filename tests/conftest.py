@@ -3,9 +3,10 @@
 The oracles here deliberately do not reuse the package's own elimination
 code: ranks and determinants are recomputed with ``fractions.Fraction``
 so that library results are checked against a second, independent route.
-The GF(2^e) multiply and Rabin's irreducibility test are kept here in
-bit-serial and list-based forms, as references for the packed versions
-in ``shiftlab.field``.
+The GF(2^e) multiply is kept here bit-serial, reducing one bit per step,
+as the reference for the table-driven reduction in ``shiftlab.field``, and
+Rabin's irreducibility test on coefficient lists as an independent oracle
+for the package's Ben-Or test.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from shiftlab import (
     PolynomialRing,
     PrimeField,
     ZZ,
+    field,
     gf_extension,
     is_prime,
     make_field_context,
@@ -160,6 +161,33 @@ def test_is_irreducible_matches_list_oracle_exhaustively(p, max_degree):
     assert found == {2: 747, 3: 196, 5: 205}[p]
 
 
+@pytest.mark.parametrize(
+    "p,coeffs",
+    [
+        (2, [0, 1, 0, 1] + [0] * 36 + [1]),  # x^40 + x^3 + x, root 0
+        (2, [1, 0, 1, 0, 0, 1] + [0] * 34 + [1]),  # x^40 + x^5 + x^2 + 1, root 1
+        (3, [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1]),  # x^10 + x^3 + x + 1, root 1
+    ],
+)
+def test_is_irreducible_rejects_a_linear_factor_at_the_first_step(monkeypatch, p, coeffs):
+    steps, frobenius = [], field._domain_pow
+
+    def counting_pow(domain, a, e):
+        steps.append(e)
+        return frobenius(domain, a, e)
+
+    monkeypatch.setattr(field, "_domain_pow", counting_pow)
+    assert not _is_irreducible(coeffs, p)
+    assert steps == [p]
+    # an irreducible polynomial takes every step up to half its degree
+    steps.clear()
+    if p == 2:
+        digits = [int(c) for c in bin(_PINNED_GF2E[201][40])[:1:-1]]
+    else:
+        digits = [int(c) for c in _PINNED_GF3E[(21, 0)]]
+    assert _is_irreducible(digits, p) and len(steps) == (len(digits) - 1) // 2
+
+
 def _gf2e_edge_and_random_elements(f, count):
     gen = rng(f"gf2e-{f.e}")
     return [0, 1, 1 << (f.e - 1), f.size - 1] + [gen.randrange(f.size) for _ in range(count)]
@@ -175,6 +203,23 @@ def test_gf2e_mul_and_inv_match_bit_serial_oracle(e):
             assert f.mul(a, b) == gf2_mul_oracle(a, b, f.modulus)
         if a:
             assert gf2_mul_oracle(a, f.inv(a), f.modulus) == 1
+            # inv does not reduce its cofactor, so it must come out reduced
+            assert f.inv(a) < f.size and f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("e", [2, 7, 8, 9, 40])
+def test_gf2e_fold_table_clears_one_top_byte(e):
+    modulus = gf_extension(2, 2**e).modulus
+    f = BinaryExtensionField(e, modulus)
+    # built on the first product that needs reducing, not before
+    assert f.mul(1 << (e - 1), 1) == 1 << (e - 1) and f._fold is None
+    assert f.mul(1 << (e - 1), 2) == gf2_mul_oracle(1 << (e - 1), 2, modulus)
+    fold = f._fold
+    assert len(fold) == 256
+    for b, entry in enumerate(fold):
+        # a multiple of the modulus whose bits e..e+7 are b and nothing above
+        assert gf2_mul_oracle(entry, 1, modulus) == 0
+        assert entry >> e == b
 
 
 def test_gf2e_mul_beyond_one_byte_slot():
@@ -189,11 +234,13 @@ def test_gf2e_mul_beyond_one_byte_slot():
             assert f.mul(a, b) == gf2_mul_oracle(a, b, modulus)
         if a:
             assert gf2_mul_oracle(a, f.inv(a), modulus) == 1
+            assert f.inv(a) < f.size and f.mul(a, f.inv(a)) == 1
 
 
-# The moduli every seeded run samples from.  Rabin's test is exact, so any
-# rewrite of the search must land on these; a change here moves every point
-# drawn in the extension field and with it the randomized outputs.
+# The moduli every seeded run samples from.  Ben-Or's test, like the Rabin
+# oracle in conftest, is exact, so any rewrite of the search must land on
+# these; a change here moves every point drawn in the extension field and
+# with it the randomized outputs.
 _PINNED_GF2E = {
     201: {36: 0x120E8C54EB, 37: 0x2FF313FF9B, 38: 0x540DB36359, 39: 0x9614401FF1,
           40: 0x1D2A136C69D, 41: 0x39BE9690E05, 42: 0x719A4A9274D},
@@ -546,6 +593,32 @@ def test_rank_profile_empty_matrix():
     assert lex_first_bases([(), ()], 0, ZZ, [[0, 1]]) == [0]
     assert lex_first_bases([(0, 0), (0, 0)], 2, ZZ, [[0, 1], [1, 0]]) == [0, 0]
     assert matrix_rank([]) == 0
+
+
+@pytest.mark.parametrize("name", ["7", "mersenne61", "gf2e"])
+def test_gauss_inverts_only_pivots_with_later_rows(monkeypatch, name):
+    fld = FINITE_FIELDS[name]
+    inverses = []
+    if isinstance(fld, PrimeField):
+        # the elimination over GF(p) calls the builtin pow(x, -1, p)
+        def counting_pow(*args):
+            inverses.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(field, "pow", counting_pow, raising=False)
+    else:
+        inv = BinaryExtensionField.inv
+
+        def counting_inv(dom, a):
+            inverses.append(a)
+            return inv(dom, a)
+
+        monkeypatch.setattr(BinaryExtensionField, "inv", counting_inv)
+    # the last pivot, at row 2, has no later nonzero row
+    state = ProfileState(fld, 3)
+    assert state.offer([2, 3, 1]) and state.offer([0, 1, 4]) and state.offer([0, 0, 5])
+    assert inverses == [2, 1]
+    assert state.pivot_rows == [0, 1, 2] and state._stack[-1] == (2, [], [])
 
 
 @pytest.mark.parametrize(
