@@ -1,23 +1,22 @@
 """Exact coefficient arithmetic for the two shifting backends.
 
-The symbolic backend works with sparse multivariate polynomials over ZZ or
-GF(p), stored with packed monomials under a per-call degree bound, and
-decides linear dependence by fraction-free Bareiss elimination with
-checked exact division, so every zero test is exact.  The
-randomized backend replaces the indeterminates by values drawn from a
-domain large enough for the Schwartz-Zippel bound: uniform integers from
-``[1, ceil(2 * degree_budget / epsilon)]`` in characteristic zero, or a
-field GF(p^e) with ``p^e`` at least ``2 * degree_budget / epsilon`` in
-characteristic p.  In characteristic zero the shift reads those integers
-in GF(2^q - 1), a Mersenne prime field above their range and above the
-coefficients of every minor it decides, and eliminates there by Gauss
-(see ``shiftcore._invertible_evaluation``).  Randomized runs derive every
-sample from a SHA-256 counter stream keyed by (seed, call fingerprint,
-attempt), which makes results reproducible and independent of call
-order.  The modulus of GF(p^e) is the first candidate from a seeded
-stream that passes Ben-Or's irreducibility test, run in the candidate's
-own ring GF(p)[x]/(f) with the multiply of the field it would define.
-GF(2^e) works on packed ints with no bit-serial loop: a product is
+The symbolic backend works with sparse multivariate polynomials over the
+integers or GF(p), stored with packed monomials under a per-call degree
+bound, and decides linear dependence by fraction-free Bareiss elimination
+with checked exact division, so every zero test is exact.  Everything else
+eliminates by Gauss over a concrete field, and ``choose_field`` is the one
+place that field is picked: GF(p^e) in characteristic p, and in
+characteristic 0 GF(2^q - 1), the first Mersenne prime of a fixed table
+above the bounds the caller proves.  The randomized backend draws its
+points there, from a domain large enough for the Schwartz-Zippel bound (see
+``shiftcore._evaluation_bounds``), and ranks over Q run there too, with a
+prime above Hadamard's bound on every minor (``rational_rank_field``).
+Randomized runs derive every sample from a SHA-256 counter stream keyed by
+(seed, call fingerprint, attempt), which makes results reproducible and
+independent of call order.  The modulus of GF(p^e) is the first candidate
+from a seeded stream that passes Ben-Or's irreducibility test, run in the
+candidate's own ring GF(p)[x]/(f) with the multiply of the field it would
+define.  GF(2^e) works on packed ints with no bit-serial loop: a product is
 reduced one top byte at a time through a per-field table of multiples of
 the modulus, and an inverse is one extended Euclid that updates the
 remainder and its cofactor in the same shift-and-XOR step.
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -49,17 +49,17 @@ __all__ = [
     "FieldContext",
     "make_field_context",
     "DEFAULT_EPSILON",
-    "IntegerRing",
-    "ZZ",
     "PrimeField",
     "BinaryExtensionField",
     "PrimeExtensionField",
     "gf_extension",
+    "MERSENNE_EXPONENTS",
+    "choose_field",
+    "rational_rank_field",
     "MultiPoly",
     "PolynomialRing",
     "EvalPoint",
     "sample_eval_point",
-    "degree_budget",
     "DeterministicStream",
     "matrix_rank",
     "lex_first_bases",
@@ -123,10 +123,6 @@ class Backend(Enum):
     RANDOMIZED = "randomized"
 
 
-def _ceil_fraction(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
 @dataclass(frozen=True)
 class FieldContext:
     """Everything a shifting call needs to know about its arithmetic.
@@ -139,11 +135,6 @@ class FieldContext:
     backend: Backend
     seed: int = 0
     epsilon: Fraction = DEFAULT_EPSILON
-
-    def domain_size_bound(self, degree_budget: int) -> int:
-        """Smallest admissible sampling-domain size for one randomized call."""
-        budget = max(1, degree_budget)
-        return max(2, _ceil_fraction(Fraction(2 * budget) / self.epsilon))
 
 
 def make_field_context(
@@ -171,52 +162,6 @@ def make_field_context(
 
 
 # ------------------------------------------------------------ domains
-
-
-class IntegerRing:
-    """Arbitrary-precision integers; exact division only where it is exact."""
-
-    characteristic = 0
-    is_field = False
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def exact_div(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise InternalError(f"inexact integer division {a} / {b}")
-        return q
-
-    @staticmethod
-    def from_int(c):
-        return c
-
-    def __repr__(self) -> str:
-        return "ZZ"
-
-
-ZZ = IntegerRing()
 
 
 class PrimeField:
@@ -523,19 +468,6 @@ def _gfp_poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _gfp_poly_trim(a)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _extension_ring(p: int, coeffs: Sequence[int]):
     """GF(p)[x]/(f) for f monic with ``coeffs`` constant first; a field iff f is irreducible."""
     if p == 2:
@@ -615,6 +547,61 @@ def gf_extension(p: int, min_size: int, seed: int = 0):
         size *= p
         e += 1
     return _gf_extension_cached(p, e, seed)
+
+
+# Exponents q of the Mersenne primes 2^q - 1 in which characteristic 0
+# computes, in increasing order (see choose_field).
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+@lru_cache(maxsize=len(MERSENNE_EXPONENTS))
+def _mersenne_field(q: int) -> PrimeField:
+    # PrimeField checks primality, which takes seconds for 2^4423 - 1
+    return PrimeField((1 << q) - 1)
+
+
+def choose_field(characteristic: int, size: int, coeff_bound: int = 0, seed: int = 0):
+    """The concrete field in which a computation of a characteristic runs.
+
+    Characteristic p gets GF(p^e) with at least ``size`` elements, e minimal
+    (``gf_extension``, with the modulus drawn from ``seed``).  Characteristic
+    0 gets GF(2^q - 1) for the first q of ``MERSENNE_EXPONENTS`` with
+    2^q - 1 > max(size, coeff_bound): the integers 1..size lie in it as they
+    are, and an integer of absolute value at most ``coeff_bound`` is zero in
+    it only if it is 0.  A bound at or above the table's last prime raises
+    MathPreconditionError, before any work.
+    """
+    if characteristic:
+        return gf_extension(characteristic, size, seed)
+    bound = max(size, coeff_bound)
+    for q in MERSENNE_EXPONENTS:
+        if bound < (1 << q) - 1:
+            return _mersenne_field(q)
+    raise MathPreconditionError(
+        f"characteristic 0 needs a prime above a {bound.bit_length()}-bit bound; "
+        f"the largest Mersenne prime used is 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
+def rational_rank_field(columns: Iterable[Sequence[int]]) -> PrimeField:
+    """A prime field in which a matrix of integer columns has its ranks over Q.
+
+    Let P be the product of the squared norms of the nonzero columns.  A
+    nonzero minor M of the matrix is an integer, and by Hadamard's
+    inequality |M| is at most the product of the norms of its columns, each
+    cut to the minor's rows.  A cut column has norm at most the whole one,
+    and a nonzero column has norm at least 1, so |M| <= isqrt(P).  The field
+    is GF(p) with p > isqrt(P) from ``choose_field``, so p divides no
+    nonzero minor.  The rank of every submatrix, the largest order of a
+    nonzero minor in it, is then the same mod p as over Q, and so are the
+    lex-first pivots, which are read off the ranks of column prefixes
+    (modular rank as in Dumas, Saunders and Villard, J. Symbolic Comput. 32,
+    2001).  There is no failure probability.
+    """
+    product = 1
+    for column in columns:
+        product *= sum(x * x for x in column) or 1
+    return choose_field(0, 0, isqrt(product))
 
 
 # ------------------------------------------------------------ polynomials
@@ -839,7 +826,7 @@ def _pmul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 class PolynomialRing:
-    """Polynomials in fixed variables of total degree at most D, over ZZ or GF(p).
+    """Polynomials of total degree at most D in fixed variables, over Z or GF(p).
 
     An element is a dict ``{packed monomial: coefficient}`` without zero
     coefficients; in characteristic p every coefficient lies in [1, p).
@@ -1087,44 +1074,31 @@ class EvalPoint:
     domain: object
 
 
-def degree_budget(entry_degree: int, rank: int, ncols: int) -> int:
-    """Schwartz-Zippel degree budget for a lex-first column rank profile.
-
-    The profile of a matrix with ``ncols`` columns, rank at most ``rank``
-    and entries of total degree at most ``entry_degree`` is decided by at
-    most ``ncols`` minors of order at most ``rank``; their product has
-    degree at most the returned bound.  Each factor is clamped to 1.
-    """
-    return max(1, entry_degree) * max(1, rank) * max(1, ncols)
-
-
 def sample_eval_point(
     ctx: FieldContext,
     variables: Iterable[Var],
-    degree_budget: int,
+    size: int,
+    coeff_bound: int,
     call_tag: str,
     attempt: int = 0,
 ) -> EvalPoint:
     """Draw a Schwartz-Zippel evaluation point for one randomized call.
 
-    In characteristic zero the values are uniform integers from
-    [1, ceil(2 * degree_budget / epsilon)]; in characteristic p they are
-    uniform elements of GF(p^e) with p^e at least that bound.
+    The point lies in ``choose_field(char, size, coeff_bound)``.  In
+    characteristic zero its values are uniform integers from [1, size],
+    which that Mersenne prime field holds as they are; in characteristic p
+    they are uniform elements of GF(p^e), p^e >= size.  The caller derives
+    both bounds from its error budget (see ``shiftcore._evaluation_bounds``).
     """
+    char = ctx.characteristic.value
+    domain = choose_field(char, size, coeff_bound, ctx.seed)
+    stream = DeterministicStream("evalpoint", ctx.seed, char, call_tag, attempt)
     ordered = sorted(set(variables))
-    bound = ctx.domain_size_bound(degree_budget)
-    stream = DeterministicStream(
-        "evalpoint", ctx.seed, ctx.characteristic.value, call_tag, attempt
-    )
-    if ctx.characteristic.is_zero:
-        domain = ZZ
-        assignment = {var: 1 + stream.randbelow(bound) for var in ordered}
+    if char:
+        values = [domain.sample(stream.randbelow(domain.size)) for _ in ordered]
     else:
-        domain = gf_extension(ctx.characteristic.value, bound, seed=ctx.seed)
-        assignment = {
-            var: domain.sample(stream.randbelow(domain.size)) for var in ordered
-        }
-    return EvalPoint(assignment=assignment, domain=domain)
+        values = [1 + stream.randbelow(size) for _ in ordered]
+    return EvalPoint(assignment=dict(zip(ordered, values)), domain=domain)
 
 
 # --------------------------------------------------- rank-profile engines
@@ -1135,9 +1109,9 @@ class ProfileState:
 
     Feed columns left to right with ``offer``; it answers whether the column
     increased the rank.  Its pivot is its first nonzero row once the earlier
-    pivots are eliminated from it.  Over a domain that is not a field (ZZ,
-    the polynomial ring) the update is fraction-free Bareiss, exact divisions
-    only, against dense pivot columns.
+    pivots are eliminated from it.  Over a domain that is not a field, the
+    polynomial ring of the symbolic backend, the update is fraction-free
+    Bareiss, exact divisions only, against dense pivot columns.
 
     Over a field it is Gauss-Jordan elimination against sparse pivots
     ``(pivot row, rows, values)``: normalized to 1 at its pivot row, a pivot
@@ -1298,10 +1272,14 @@ def lex_first_bases(
 
 
 def matrix_rank(rows: Sequence[Sequence], domain=None) -> int:
-    """Rank of a matrix of raw scalars over the given domain (default ZZ)."""
+    """Rank of a matrix of raw scalars over ``domain``, by default over Q.
+
+    Over Q the entries are integers, and they are eliminated by Gauss in the
+    prime field of ``rational_rank_field``, where the rank is the same.
+    """
     if not rows:
         return 0
-    dom = domain if domain is not None else ZZ
     columns = list(zip(*rows))
+    dom = domain if domain is not None else rational_rank_field(columns)
     (kept,) = lex_first_bases(columns, len(rows), dom, [range(len(columns))])
     return kept.bit_count()

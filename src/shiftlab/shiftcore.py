@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
@@ -43,11 +44,9 @@ from .field import (
     FieldContext,
     MultiPoly,
     PolynomialRing,
-    PrimeField,
-    ZZ,
-    degree_budget,
     lex_first_bases,
     matrix_rank,
+    rational_rank_field,
     sample_eval_point,
 )
 from .symgroup import Permutation, all_permutations
@@ -85,10 +84,6 @@ __all__ = [
 # Singular randomized evaluations are retried with fresh points this many
 # times before the matrix is declared non-invertible.
 INVERTIBILITY_RETRIES = 4
-
-# Exponents q of the Mersenne primes 2^q - 1 over which randomized runs in
-# characteristic 0 eliminate, in increasing order (see _invertible_evaluation).
-MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
 # Partial shifts kept across calls, most recent first: a repeated (S, w, ctx)
 # costs no second elimination.  Graph builds and scans shift by all cells at
@@ -406,10 +401,55 @@ def compound_rows(g: GenericMatrix, S: UniformHypergraph) -> CompoundSubmatrix:
 # ------------------------------------------------------------ the shift
 
 
-def _degree_budget(g: GenericMatrix, S: UniformHypergraph) -> int:
-    # compound entries are k x k minors of g
-    ncols = len(k_subsets(S.n, S.k))
-    return degree_budget(S.k * max(1, g.degree_bound), S.m, ncols)
+def _evaluation_bounds(
+    g: GenericMatrix,
+    layers: Sequence[UniformHypergraph],
+    pending: Sequence[UniformHypergraph],
+    epsilon: Fraction,
+) -> tuple[int, int]:
+    """The sample range B and the coefficient bound C of one evaluation of g.
+
+    g is evaluated at one point, uniform on [1, B] in characteristic 0 or on
+    GF(p^e) with p^e >= B in characteristic p, and shifts every layer of
+    ``layers`` there; ``pending`` are the layers that need elimination.  A
+    wrong result needs a nonzero polynomial that the call decides to vanish
+    at the point, and by Schwartz-Zippel (Schwartz, J. ACM 1980; Zippel,
+    EUROSAM 1979) that has probability at most epsilon:
+
+    - The compound rows of a layer S with m edges of size k are k x k
+      minors of g, of degree at most k * deg g.  Its lex-first column
+      profile is decided by at most C(n, k) minors of order at most m of
+      those rows, whose product has degree at most
+      d_S = k * deg g * m * C(n, k), each factor clamped to 1.  The
+      invertibility check decides det g, of degree n * deg g, which is at
+      most d_S for every layer with k >= 1.
+    - D sums d_S over every layer of ``layers``, the ones that shift to
+      themselves included.  That slack keeps every point as it was; a
+      tighter D changes them all.  The decided polynomials then have
+      degrees summing to at most 2D, and B = ceil(2D / epsilon), so the
+      point is a zero of one of them with probability at most epsilon.
+    - In characteristic 0 the point lies in GF(p) for the Mersenne prime p
+      that ``field.choose_field`` picks above B and C.  Let c be the largest
+      coefficient 1-norm of an entry of g (c = 1 for U and the cell
+      representatives).  A k x k minor of g has 1-norm at most k! * c^k, a
+      minor of order at most m of a pending layer's compound rows at most
+      m! * (k! * c^k)^m, and det g at most n! * c^n; C is the largest of
+      these.  p > C, so no coefficient of a decided polynomial P is a
+      nonzero multiple of p, and P mod p is nonzero whenever P is.  p > B,
+      so [1, B] lies in GF(p) as it is, and the bound above holds over GF(p)
+      with no further failure term.  For a constant g the decisions are
+      exact.
+    """
+    degree = max(1, g.degree_bound)
+    budget = sum(
+        max(1, S.k * degree) * max(1, S.m) * len(k_subsets(S.n, S.k)) for S in layers
+    )
+    c = max(1, max(sum(map(abs, e.terms.values())) for row in g.entries for e in row))
+    fact = math.factorial
+    coeffs = max(
+        [fact(g.n) * c**g.n] + [fact(S.m) * (fact(S.k) * c**S.k) ** S.m for S in pending]
+    )
+    return math.ceil(2 * budget / epsilon), coeffs
 
 
 def _symbolic_ring(
@@ -429,66 +469,20 @@ def _symbolic_ring(
     return PolynomialRing(char, g.variables, 2 * order * max(1, g.degree_bound))
 
 
-@lru_cache(maxsize=len(MERSENNE_EXPONENTS))
-def _mersenne_field(q: int) -> PrimeField:
-    # PrimeField checks primality, which takes seconds for 2^4423 - 1
-    return PrimeField((1 << q) - 1)
-
-
 def _invertible_evaluation(
-    g: GenericMatrix,
-    layers: Sequence[UniformHypergraph],
-    budget: int,
-    tag: str,
-    ctx: FieldContext,
+    g: GenericMatrix, size: int, coeff_bound: int, tag: str, ctx: FieldContext
 ):
     """g evaluated at a point where it is invertible, and the point's domain.
 
     Up to 1 + INVERTIBILITY_RETRIES points are tried.  A matrix without
-    variables evaluates the same at every point, so it gets one.  In
-    characteristic p the point lies in GF(p^e).  In characteristic 0 it is
-    drawn as integers from [1, B], B = ceil(2 * budget / epsilon), and g is
-    evaluated in GF(p) for the first Mersenne prime p = 2^q - 1 of
-    ``MERSENNE_EXPONENTS`` above B and above the coefficient bounds of g
-    and of ``layers``, the layers to be shifted.  That is exact:
-
-    - Let c be the largest coefficient 1-norm of an entry of g (c = 1 for
-      U and the cell representatives).  A k x k minor of g has 1-norm at
-      most k! * c^k.  So a minor of order at most m of the compound rows of
-      a layer with m edges of size k has 1-norm at most m! * (k! * c^k)^m,
-      and det g has at most n! * c^n.  Each rank decision of the shift and
-      of the invertibility check asks whether such an integer polynomial P
-      vanishes at the point.
-    - p exceeds every bound, so no coefficient of P is a nonzero multiple
-      of p: P mod p is nonzero whenever P is.  For a constant g the
-      decisions are therefore exact.
-    - p > B, so the sample set [1, B] maps one-to-one into GF(p), and by
-      Schwartz-Zippel over GF(p) with that set, P mod p vanishes at the
-      point with probability at most deg P / B, as P does over ZZ.  The
-      error budget epsilon is unchanged and no failure term is added.
-
-    A bound at or above the last prime of the table raises
-    MathPreconditionError before any point is drawn.
+    variables evaluates the same at every point, so it gets one.  The points
+    come from ``sample_eval_point`` with the bounds of
+    ``_evaluation_bounds``; a bound past the table of Mersenne primes
+    raises MathPreconditionError before any point is drawn.
     """
-    if ctx.characteristic.is_zero:
-        c = max(1, max(sum(map(abs, e.terms.values())) for row in g.entries for e in row))
-        fact = math.factorial
-        bound = max(
-            [ctx.domain_size_bound(budget), fact(g.n) * c**g.n]
-            + [fact(S.m) * (fact(S.k) * c**S.k) ** S.m for S in layers]
-        )
-        q = next((q for q in MERSENNE_EXPONENTS if bound < (1 << q) - 1), None)
-        if q is None:
-            raise MathPreconditionError(
-                f"this shift needs a prime above a {bound.bit_length()}-bit bound; "
-                f"the largest Mersenne prime used is 2^{MERSENNE_EXPONENTS[-1]} - 1"
-            )
-        field = _mersenne_field(q)
     attempts = 1 + INVERTIBILITY_RETRIES if g.variables else 1
     for attempt in range(attempts):
-        point = sample_eval_point(ctx, g.variables, budget, tag, attempt)
-        if ctx.characteristic.is_zero:
-            point = EvalPoint(point.assignment, field)
+        point = sample_eval_point(ctx, g.variables, size, coeff_bound, tag, attempt)
         entries = evaluate_matrix(g, point)
         if g.unit_determinant or matrix_rank(entries, point.domain) == g.n:
             return entries, point.domain
@@ -541,8 +535,8 @@ def _shift_families(
                 "matrix is singular over the symbolic coefficient ring"
             )
     else:
-        budget = sum(_degree_budget(g, S) for S in layers)
-        entries, dom = _invertible_evaluation(g, pending, budget, tag, ctx)
+        size, coeffs = _evaluation_bounds(g, layers, pending, ctx.epsilon)
+        entries, dom = _invertible_evaluation(g, size, coeffs, tag, ctx)
     zero = dom.zero
     out = []
     for S, is_fixed in zip(layers, fixed):
@@ -686,15 +680,15 @@ def all_partial_shifts(
       partial shift by w.
     - Column sigma of compound(U.P_w) is +-column w^-1(sigma) of
       compound(U).  Each cell's rank decisions are one nonzero polynomial in
-      U's entries of degree at most ``degree_budget(k, m, C(n, k))``, the
-      budget of the cell representative.  So the per-cell error bound and
-      the (n! - 1)-fold union bound over a family's cells are those of
-      per-cell shifting, over the same field.  In characteristic 0 that is
+      U's entries of degree at most d_S = k * m * C(n, k), the budget of
+      the cell representative (see ``_evaluation_bounds``).  So the
+      per-cell error bound and the (n! - 1)-fold union bound over a
+      family's cells are those of per-cell shifting, over the same field.  In characteristic 0 that is
       GF(p) for the Mersenne prime p that a cell representative gets too:
       U and the representatives have c = 1, so a decision is a minor of
       order r <= m of the m rows of compound(U), whose coefficient 1-norm
       is at most m! * (k!)^m < p, and it is nonzero mod p exactly when it
-      is nonzero (see ``_invertible_evaluation``).
+      is nonzero.
 
     The cells run through the kernel of ``shift_layers``, with the cell
     orders in place of the lex order, and every greedy decision is memoized
@@ -765,16 +759,17 @@ def _southwest_ranks(rows: list[list], domain) -> list[list[int]]:
 def bruhat_cell(rows: Sequence[Sequence], domain=None) -> Permutation:
     """The unique permutation whose double coset contains the given matrix.
 
-    Works on a concrete invertible matrix over a field (or exact integers).
+    Works on a concrete invertible matrix over a field, by default an
+    integer matrix over Q, ranked in the field of ``rational_rank_field``.
     Position (i, i.w) is detected where the southwest rank table steps in
     both directions at once; this profile is invariant under multiplying
     by upper triangular invertible matrices on either side.
     """
-    dom = domain if domain is not None else ZZ
     mat = [list(row) for row in rows]
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise MathPreconditionError("bruhat_cell needs a square matrix")
+    dom = domain if domain is not None else rational_rank_field(zip(*mat))
     table = _southwest_ranks(mat, dom)
     if table[1][n] < n:
         raise MatrixNotInvertibleError("matrix is singular")
@@ -796,41 +791,41 @@ def bruhat_cell(rows: Sequence[Sequence], domain=None) -> Permutation:
     return Permutation(tuple(images))
 
 
-def coset_normalize(u_rows: Sequence[Sequence], w: Permutation, domain=None):
+def coset_normalize(u_rows: Sequence[Sequence], w: Permutation, domain):
     """Split u.w into u'.w.u'' with u' supported on the inversions of w.
 
-    ``u_rows`` is a concrete unipotent upper-triangular matrix.  Entries at
-    non-inversion positions are cleared with elementary column operations;
-    each one is compensated on the right of w, so u.w = u'.w.u'' holds
-    exactly, with u'' again unipotent upper-triangular.
+    ``u_rows`` is a concrete unipotent upper-triangular matrix over the
+    ring ``domain``.  Entries at non-inversion positions are cleared with
+    elementary column operations; each one is compensated on the right of
+    w, so u.w = u'.w.u'' holds exactly, with u'' again unipotent
+    upper-triangular.
     """
-    dom = domain if domain is not None else ZZ
     n = w.n
     u = [list(row) for row in u_rows]
     if len(u) != n or any(len(row) != n for row in u):
         raise MathPreconditionError("matrix size must match the permutation")
     for i in range(n):
-        if not dom.is_zero(dom.sub(u[i][i], dom.one)):
+        if not domain.is_zero(domain.sub(u[i][i], domain.one)):
             raise MathPreconditionError("matrix is not unipotent")
         for j in range(i):
-            if not dom.is_zero(u[i][j]):
+            if not domain.is_zero(u[i][j]):
                 raise MathPreconditionError("matrix is not upper triangular")
     inv = w.inversions()
-    upp = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+    upp = [[domain.one if i == j else domain.zero for j in range(n)] for i in range(n)]
     for l in range(2, n + 1):
         for k in range(l - 1, 0, -1):
             if (k, l) in inv:
                 continue
             gamma = u[k - 1][l - 1]
-            if dom.is_zero(gamma):
+            if domain.is_zero(gamma):
                 continue
             # u <- u * e_{kl}(-gamma): column l picks up -gamma * column k
             for i in range(n):
-                u[i][l - 1] = dom.sub(u[i][l - 1], dom.mul(gamma, u[i][k - 1]))
+                u[i][l - 1] = domain.sub(u[i][l - 1], domain.mul(gamma, u[i][k - 1]))
             # compensate on the right: u'' <- e_{k.w, l.w}(gamma) * u''
             kw, lw = w.apply(k) - 1, w.apply(l) - 1
             for j in range(n):
-                upp[kw][j] = dom.add(upp[kw][j], dom.mul(gamma, upp[lw][j]))
+                upp[kw][j] = domain.add(upp[kw][j], domain.mul(gamma, upp[lw][j]))
     return u, upp
 
 

@@ -39,7 +39,6 @@ from .field import (
     DeterministicStream,
     FieldContext,
     PrimeField,
-    ZZ,
     matrix_rank,
     sample_eval_point,  # patched by name in bench/spans.py; unused here
 )
@@ -100,20 +99,19 @@ class BettiVector:
         return f"BettiVector(char={self.characteristic}, {self.values})"
 
 
-def _boundary_matrix(K: SimplicialComplex, s: int, domain):
-    """Rows: (s-1)-faces; columns: s-faces; alternating-sign incidence."""
+def _boundary_matrix(K: SimplicialComplex, s: int) -> list[list[int]]:
+    """Rows: (s-1)-faces; columns: s-faces; alternating-sign incidence, +-1."""
     rows_faces = sorted(f for f in K.faces if f.bit_count() == s)
     cols_faces = sorted(f for f in K.faces if f.bit_count() == s + 1)
     index = {f: i for i, f in enumerate(rows_faces)}
-    matrix = [[domain.zero] * len(cols_faces) for _ in rows_faces]
-    one = domain.one
+    matrix = [[0] * len(cols_faces) for _ in rows_faces]
     for j, face in enumerate(cols_faces):
-        sign = one
+        sign = 1
         bits = face
         while bits:
             low = bits & -bits
             matrix[index[face ^ low]][j] = sign
-            sign = domain.neg(sign)
+            sign = -sign
             bits ^= low
     return matrix
 
@@ -123,12 +121,14 @@ def betti_numbers(K: SimplicialComplex, characteristic: int = 0) -> BettiVector:
 
     beta_k = (number of k-faces) - rank d_k - rank d_{k+1}, where d_s is
     the boundary map from s-chains to (s-1)-chains and d_0 = 0.  Ranks are
-    exact: integer fraction-free elimination in characteristic zero, prime
-    field arithmetic otherwise.  The alternating sum is checked against
-    the Euler characteristic of the f-vector.
+    exact, by Gauss over GF(p) in characteristic p, and over Q in
+    characteristic zero by Gauss modulo a Mersenne prime above Hadamard's
+    bound on the minors of d_s (see ``field.rational_rank_field``); a bound
+    past the table of primes raises MathPreconditionError.  The alternating
+    sum is checked against the Euler characteristic of the f-vector.
     """
     char = Characteristic(characteristic)
-    dom = ZZ if char.is_zero else PrimeField(char.value)
+    dom = None if char.is_zero else PrimeField(char.value)
     dim = K.dim
     if dim < 0:
         return BettiVector(characteristic, ())
@@ -138,7 +138,7 @@ def betti_numbers(K: SimplicialComplex, characteristic: int = 0) -> BettiVector:
             face_counts[f.bit_count() - 1] += 1
     ranks = [0] * (dim + 2)
     for s in range(1, dim + 1):
-        ranks[s] = matrix_rank(_boundary_matrix(K, s, dom), dom)
+        ranks[s] = matrix_rank(_boundary_matrix(K, s), dom)
     values = tuple(
         face_counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)
     )

@@ -6,7 +6,9 @@ so that library results are checked against a second, independent route.
 The GF(2^e) multiply is kept here bit-serial, reducing one bit per step,
 as the reference for the table-driven reduction in ``shiftlab.field``, and
 Rabin's irreducibility test on coefficient lists as an independent oracle
-for the package's Ben-Or test.
+for the package's Ben-Or test.  The package computes over Q modulo a prime;
+``ZZ`` here is the ring of plain integers for tests that evaluate or
+eliminate over the integers themselves.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab import Backend, make_field_context
+from shiftlab import Backend, field, make_field_context
 from shiftlab.field import (
     _gfp_poly_divmod,
     _gfp_poly_gcd,
     _gfp_poly_mul,
     _gfp_poly_sub,
     _gfp_poly_trim,
-    _prime_factors,
 )
+from shiftlab.errors import InternalError
 
 # Lines appended by the acceptance tests; printed at the end of the run.
 ACCEPTANCE_REPORT: list[str] = []
@@ -61,6 +63,15 @@ def rand_ctx():
 @pytest.fixture(scope="session")
 def rand_ctx2():
     return make_field_context(2, Backend.RANDOMIZED, seed=0)
+
+
+@pytest.fixture()
+def short_prime_table(monkeypatch):
+    """Characteristic 0 with the Mersenne primes 3, 7, 31 and 127 only."""
+    monkeypatch.setattr(field, "MERSENNE_EXPONENTS", (2, 3, 5, 7))
+    field._mersenne_field.cache_clear()
+    yield
+    field._mersenne_field.cache_clear()
 
 
 def rng(tag: str) -> random.Random:
@@ -162,6 +173,52 @@ def int_matmul(a, b):
     ]
 
 
+class IntegerRing:
+    """Arbitrary-precision integers; exact division only where it is exact."""
+
+    characteristic = 0
+    is_field = False
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+    @staticmethod
+    def exact_div(a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise InternalError(f"inexact integer division {a} / {b}")
+        return q
+
+    @staticmethod
+    def from_int(c):
+        return c
+
+    def __repr__(self) -> str:
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
+
 # ------------------------------------------------ finite-field oracles
 
 
@@ -177,6 +234,19 @@ def gf2_mul_oracle(a: int, b: int, modulus: int) -> int:
     while r.bit_length() > e:
         r ^= modulus << (r.bit_length() - 1 - e)
     return r
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _gfp_poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     ACCEPTANCE_REPORT,
+    ZZ,
     frac_minor,
     frac_pivots,
     int_matmul,
@@ -29,7 +30,6 @@ from shiftlab import (
     Permutation,
     SimplicialComplex,
     UniformHypergraph,
-    ZZ,
     all_permutations,
     betti_numbers,
     build_shift_graph,

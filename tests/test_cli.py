@@ -404,6 +404,15 @@ def test_betti_methods_and_chars(rp2_file, capsys):
     assert out == "1,1,1\n"
 
 
+def test_betti_over_q_past_the_prime_table_exits_3(rp2_file, capsys, short_prime_table):
+    # with the Mersenne primes up to 127 only, RP^2's boundary ranks over Q
+    # need a prime above 243 that the table does not have
+    code, out, err = run_cli(capsys, "betti", rp2_file)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Mersenne" in err
+    assert run_ok(capsys, "betti", rp2_file, "--char", "2") == '{"betti":[1,1,1],"char":2}\n'
+
+
 def test_betti_near_cone_method(tmp_path, capsys):
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps({"n": 4, "facets": [[1, 2, 3], [1, 3, 4]]}))

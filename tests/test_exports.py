@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
-from shiftlab import shiftcore
+from shiftlab import field, shiftcore
 
 MODULES = ["shiftlab"] + [
     f"shiftlab.{info.name}" for info in pkgutil.iter_modules(shiftlab.__path__)
@@ -69,7 +69,7 @@ def test_process_wide_caches_are_keyed_or_bounded():
     assert bounded == {
         "_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE,
         "_cell_column_orders": 16,
-        "_mersenne_field": len(shiftcore.MERSENNE_EXPONENTS),
+        "_mersenne_field": len(field.MERSENNE_EXPONENTS),
     }
 
 
@@ -94,8 +94,11 @@ def _call_sites(callee: str) -> set[str]:
 
 def test_each_kernel_has_one_entry():
     # every greedy column choice runs in one loop, every randomized point is
-    # drawn by the one invertibility-retry loop, and both shift graph
+    # drawn by the one invertibility-retry loop, every concrete field of a
+    # characteristic is picked by the one chooser, and both shift graph
     # builders expand their nodes in the one closure loop
     assert _call_sites("offer") == {"field.lex_first_bases"}
     assert _call_sites("sample_eval_point") == {"shiftcore._invertible_evaluation"}
+    assert _call_sites("_mersenne_field") == {"field.choose_field"}
+    assert _call_sites("gf_extension") == {"field.choose_field"}
     assert _call_sites("_map_shift_edges") == {"shiftgraph._close"}

@@ -1,11 +1,11 @@
 """Arithmetic layer: fields, polynomials, sampling, and rank profiles."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    ZZ,
     frac_pivots,
     frac_pivots_mod,
     frac_rank,
@@ -24,7 +24,6 @@ from shiftlab import (
     MultiPoly,
     PolynomialRing,
     PrimeField,
-    ZZ,
     field,
     gf_extension,
     is_prime,
@@ -431,34 +430,35 @@ def test_deterministic_stream_ranges():
 
 
 def test_sample_eval_point_char0_range_and_determinism():
-    ctx = make_field_context(0, Backend.RANDOMIZED, seed=3, epsilon=Fraction(1, 8))
+    ctx = make_field_context(0, Backend.RANDOMIZED, seed=3)
     variables = [(1, 1), (1, 2), (2, 2)]
-    budget = 5
-    bound = ctx.domain_size_bound(budget)
-    assert bound == 2 * 5 * 8  # ceil(2 * budget / epsilon)
-    pt = sample_eval_point(ctx, variables, budget, "tag")
-    assert pt.domain is ZZ
+    size = 80
+    pt = sample_eval_point(ctx, variables, size, 0, "tag")
+    # the values are drawn from [1, size] straight into the first Mersenne
+    # prime field above the size and the coefficient bound
+    assert pt.domain is field.choose_field(0, size)
+    assert pt.domain.p == 2**61 - 1
     assert set(pt.assignment) == set(variables)
-    assert all(1 <= v <= bound for v in pt.assignment.values())
-    again = sample_eval_point(ctx, variables, budget, "tag")
+    assert all(1 <= v <= size for v in pt.assignment.values())
+    again = sample_eval_point(ctx, variables, size, 0, "tag")
     assert again.assignment == pt.assignment
-    other_attempt = sample_eval_point(ctx, variables, budget, "tag", attempt=1)
+    other_attempt = sample_eval_point(ctx, variables, size, 0, "tag", attempt=1)
     assert other_attempt.assignment != pt.assignment
     other_seed = sample_eval_point(
-        make_field_context(0, Backend.RANDOMIZED, seed=4, epsilon=Fraction(1, 8)),
-        variables,
-        budget,
-        "tag",
+        make_field_context(0, Backend.RANDOMIZED, seed=4), variables, size, 0, "tag"
     )
     assert other_seed.assignment != pt.assignment
+    # a larger coefficient bound moves the field, not the values
+    wide = sample_eval_point(ctx, variables, size, 2**61 - 1, "tag")
+    assert wide.domain.p == 2**89 - 1 and wide.assignment == pt.assignment
 
 
 def test_sample_eval_point_charp_domain_size():
-    ctx = make_field_context(2, Backend.RANDOMIZED, epsilon=Fraction(1, 4))
-    pt = sample_eval_point(ctx, [(1, 1)], 10, "tag")
-    bound = ctx.domain_size_bound(10)  # 80
+    ctx = make_field_context(2, Backend.RANDOMIZED)
+    pt = sample_eval_point(ctx, [(1, 1)], 80, 0, "tag")
     assert pt.domain.characteristic == 2
-    assert pt.domain.size >= bound > pt.domain.size // 2
+    assert pt.domain.size >= 80 > pt.domain.size // 2
+    assert pt.domain is field.choose_field(2, 80, seed=ctx.seed)
 
 
 # ---------------------------------------------------------- rank profiles
@@ -586,6 +586,30 @@ def test_prime_field_elimination_reads_any_integer(p):
         for order, kept in zip(orders, lex_first_bases(columns, nrows, fld, orders)):
             _, want = frac_pivots_mod([[row[j] for j in order] for row in rows], p)
             assert [t for t in range(ncols) if kept >> t & 1] == want
+
+
+def test_rank_over_q_runs_modulo_a_prime_above_the_hadamard_bound():
+    # 2^61 - 1 vanishes in the table's first prime field, so the rank over Q
+    # of [[2^61 - 1]] needs the next prime, 2^89 - 1
+    assert matrix_rank([[2**61 - 1]]) == 1
+    assert field.rational_rank_field([[2**61 - 1]]).p == 2**89 - 1
+    gen = rng("rank-over-q-near-2^200")
+    for _ in range(40):
+        nrows, ncols = gen.randint(1, 6), gen.randint(1, 7)
+        basis = [
+            [2**200 + gen.randint(-(2**40), 2**40) for _ in range(ncols)]
+            for _ in range(gen.randint(1, min(nrows, ncols)))
+        ]
+        rows = [
+            [sum(gen.randint(-2, 2) * v[j] for v in basis) for j in range(ncols)]
+            for _ in range(nrows)
+        ]
+        columns = list(zip(*rows))
+        fld = field.rational_rank_field(columns)
+        assert fld.p > 2**61 - 1 or not any(map(any, rows))
+        assert matrix_rank(rows) == frac_rank(rows)
+        (kept,) = lex_first_bases(columns, nrows, fld, [range(ncols)])
+        assert [t for t in range(ncols) if kept >> t & 1] == frac_pivots(rows)[1]
 
 
 def test_rank_profile_empty_matrix():

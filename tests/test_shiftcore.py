@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    ZZ,
     frac_minor,
     frac_pivots,
     frac_pivots_mod,
@@ -22,10 +23,11 @@ from shiftlab import (
     MultiPoly,
     Permutation,
     PrimeField,
+    SimplicialComplex,
     UniformHypergraph,
-    ZZ,
     all_partial_shifts,
     all_permutations,
+    betti_numbers,
     bruhat_cell,
     cell_representative,
     cell_unipotent,
@@ -46,6 +48,7 @@ from shiftlab import (
     matrix_difference,
     matrix_from_entries,
     matrix_product,
+    matrix_rank,
     partial_shift,
     partial_shift_profile,
     permutation_matrix,
@@ -56,8 +59,8 @@ from shiftlab import (
     twist,
     vandermonde_matrix,
 )
-from shiftlab import shiftcore
-from shiftlab.field import ProfileState, degree_budget
+from shiftlab import reproduce, shiftcore
+from shiftlab.field import ProfileState
 
 
 def _hg(n, k, edges):
@@ -479,7 +482,7 @@ def test_coset_normalize_reassembles_exactly():
         u = random_unit_upper(4, gen, bound=6)
         for i in range(4):
             u[i][i] = 1  # unipotent
-        u1, u2 = coset_normalize([row[:] for row in u], w)
+        u1, u2 = coset_normalize([row[:] for row in u], w, ZZ)
         pw = [list(r) for r in w.matrix()]
         assert int_matmul(u, pw) == int_matmul(int_matmul(u1, pw), u2)
         inv = w.inversions()
@@ -495,11 +498,11 @@ def test_coset_normalize_reassembles_exactly():
 def test_coset_normalize_validates_shape():
     w = Permutation.identity(3)
     with pytest.raises(MathPreconditionError):
-        coset_normalize([[2, 0, 0], [0, 1, 0], [0, 0, 1]], w)  # not unipotent
+        coset_normalize([[2, 0, 0], [0, 1, 0], [0, 0, 1]], w, ZZ)  # not unipotent
     with pytest.raises(MathPreconditionError):
-        coset_normalize([[1, 0, 0], [1, 1, 0], [0, 0, 1]], w)  # lower entry
+        coset_normalize([[1, 0, 0], [1, 1, 0], [0, 0, 1]], w, ZZ)  # lower entry
     with pytest.raises(MathPreconditionError):
-        coset_normalize([[1, 0], [0, 1]], w)  # wrong size
+        coset_normalize([[1, 0], [0, 1]], w, ZZ)  # wrong size
 
 
 # ------------------------------------------------------ product structure
@@ -675,10 +678,11 @@ def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
     S, T = _hg(4, 2, [[2, 3], [2, 4]]), _hg(4, 1, [[3]])
     shifts = all_partial_shifts((S, T), RND2)
     assert len(calls) == 1 and len(shifts) == 24
-    # the budget sums over the layers, as for shifting by one matrix
-    _, variables, budget, _, attempt = calls[0]
+    # the budget sums d_S = k * deg U * m * C(n, k) over the layers, as for
+    # shifting by one matrix: D = 2 * 2 * 6 + 1 * 1 * 4, and B = ceil(2D / eps)
+    _, variables, size, _, _, attempt = calls[0]
     assert len(variables) == 6 and attempt == 0
-    assert budget == degree_budget(2, 2, 6) + degree_budget(1, 1, 4)
+    assert size == math.ceil(2 * (24 + 4) / RND2.epsilon)
     # empty and complete layers shift to themselves without a point
     empty, complete = UniformHypergraph(4, 2, ()), _hg(4, 3, k_subsets(4, 3))
     assert all(
@@ -688,6 +692,14 @@ def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
     assert len(calls) == 1
     assert shifts[Permutation.identity(4)] == [S, T]
     assert shifts[Permutation.longest(4)] == [full_shift(S, RND2), full_shift(T, RND2)]
+    # a layer that shifts to itself counts in D but not in the coefficient
+    # bound: the complete 3-set layer adds 3 * 4 * 4 to D, while C stays at
+    # det U's 4!, below that layer's m! (k!)^m = 4! * 6^4
+    calls.clear()
+    all_partial_shifts((S, T, complete), RND)
+    ((_, _, size, coeffs, _, _),) = calls
+    assert size == math.ceil(2 * (24 + 4 + 48) / RND.epsilon)
+    assert coeffs == math.factorial(4)
 
 
 def test_all_partial_shifts_validates_layers():
@@ -737,12 +749,16 @@ def test_char0_prime_keeps_a_minor_with_small_prime_content(monkeypatch):
     domains = _domains_of_shifts(monkeypatch)
     want = UniformHypergraph(4, 2, tuple(k_subsets(4, 2)[j] for j in pivots))
     assert exterior_shift(matrix_from_entries(mat), S, RND) == want
-    # the first Mersenne prime above the coefficient bound m! (k! c^k)^m of
-    # the 2 x 2 minors, here with c = 3, and above the sample bound B
+    # the first Mersenne prime above the sample bound B = ceil(2D / eps),
+    # D = 2 * 2 * 6, and the coefficient bound: here c = 3, and n! c^n
+    # exceeds m! (k! c^k)^m of the 2 x 2 minors
     (dom,) = domains
     assert isinstance(dom, PrimeField) and dom.p == 2**61 - 1
-    assert dom.p > math.factorial(2) * (math.factorial(2) * 3**2) ** 2
-    assert dom.p > RND.domain_size_bound(degree_budget(2, 2, 6))
+    g = matrix_from_entries(mat)
+    size, coeffs = shiftcore._evaluation_bounds(g, [S], [S], RND.epsilon)
+    assert size == math.ceil(2 * 24 / RND.epsilon)
+    assert coeffs == math.factorial(4) * 3**4 > math.factorial(2) * (2 * 3**2) ** 2
+    assert dom.p > max(size, coeffs)
 
 
 def test_char0_prime_moves_up_for_large_coefficients_and_small_epsilon(monkeypatch):
@@ -807,3 +823,12 @@ def test_randomized_backend_never_eliminates_over_the_integers(monkeypatch):
         counts[backend] = len(domains)
     assert counts[Backend.RANDOMIZED] == 0
     assert counts[Backend.SYMBOLIC] > 0
+    # ranks over Q run modulo a Mersenne prime too
+    domains.clear()
+    rp2 = SimplicialComplex.from_facets(6, [e.elements() for e in RP2_TOP.edges])
+    assert betti_numbers(rp2, 0).values == (1, 0, 0)
+    assert matrix_rank([[2, 4, 1], [1, 2, 3]]) == 2
+    w3, b = Permutation((2, 3, 1)), [[2, 1, 5], [0, 3, -1], [0, 0, 1]]
+    assert bruhat_cell(int_matmul(int_matmul(b, [list(r) for r in w3.matrix()]), b)) == w3
+    assert reproduce.run_target("certificate-split").ok
+    assert domains == []

@@ -40,7 +40,7 @@ from shiftlab import (
     vandermonde_matrix,
     weak_order_geq,
 )
-from shiftlab import shiftcore, topology
+from shiftlab import field, shiftcore, topology
 from shiftlab.topology import ComplexScanResult, GraphScanResult
 
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
@@ -147,6 +147,43 @@ def test_betti_matches_boundary_rank_oracle_on_random_complexes():
     for K in _random_complex_pool("betti-oracle", 40):
         for char in (0, 2, 3):
             assert betti_numbers(K, char).values == betti_oracle(K, char)
+
+
+def _larger_complexes(tag, count):
+    """Random complexes on 9 to 11 vertices with at most 500 nonempty faces."""
+    gen = rng(tag)
+    out = []
+    for _ in range(count):
+        n = gen.randint(9, 11)
+        dim = gen.randint(2, 3)
+        pool = list(itertools.combinations(range(1, n + 1), dim + 1))
+        facets = gen.sample(pool, gen.randint(len(pool) // 4, len(pool) // 2))
+        while len(SimplicialComplex.from_facets(n, facets).faces) > 501:
+            facets.pop()
+        out.append(SimplicialComplex.from_facets(n, facets))
+    return out
+
+
+def test_rational_betti_matches_fraction_ranks_on_larger_complexes():
+    # the boundary ranks over Q run modulo a Mersenne prime above Hadamard's
+    # bound; these complexes need primes up to 2^521 - 1
+    primes = set()
+    for K in _larger_complexes("betti-over-q", 5):
+        assert betti_numbers(K, 0).values == betti_oracle(K, 0)
+        for s in range(1, K.dim + 1):
+            columns = zip(*topology._boundary_matrix(K, s))
+            primes.add(field.rational_rank_field(columns).p)
+    assert max(primes) > 2**61 - 1
+
+
+def test_rational_betti_past_the_prime_table_is_refused(short_prime_table):
+    # the hollow triangle's d_1 has Hadamard bound isqrt(2^3) = 2, so GF(3)
+    hollow = SimplicialComplex.from_facets(3, [[1, 2], [1, 3], [2, 3]])
+    assert betti_numbers(hollow, 0).values == (1, 1)
+    # RP^2's d_2 has bound isqrt(3^10) = 243, above 127
+    with pytest.raises(MathPreconditionError, match="Mersenne"):
+        betti_numbers(_rp2(), 0)
+    assert betti_numbers(_rp2(), 2).values == (1, 1, 1)
 
 
 def test_betti_rejects_bad_characteristic():
