@@ -3,7 +3,10 @@
 The symbolic backend works with sparse multivariate polynomials over the
 integers or GF(p), stored with packed monomials under a per-call degree
 bound, and decides linear dependence by fraction-free Bareiss elimination
-with checked exact division, so every zero test is exact.  Everything else
+with checked exact division, so every zero test is exact.  The elimination
+skips the updates whose result it already knows, on zero entries and in
+steps that only rescale the column; a product of two monomials is one
+addition, and a division by one term needs no heap.  Everything else
 eliminates by Gauss over a concrete field, and ``choose_field`` is the one
 place that field is picked: GF(p^e) in characteristic p, and in
 characteristic 0 GF(2^q - 1), the first Mersenne prime of a fixed table
@@ -586,21 +589,29 @@ def choose_field(characteristic: int, size: int, coeff_bound: int = 0, seed: int
 def rational_rank_field(columns: Iterable[Sequence[int]]) -> PrimeField:
     """A prime field in which a matrix of integer columns has its ranks over Q.
 
-    Let P be the product of the squared norms of the nonzero columns.  A
-    nonzero minor M of the matrix is an integer, and by Hadamard's
-    inequality |M| is at most the product of the norms of its columns, each
-    cut to the minor's rows.  A cut column has norm at most the whole one,
-    and a nonzero column has norm at least 1, so |M| <= isqrt(P).  The field
-    is GF(p) with p > isqrt(P) from ``choose_field``, so p divides no
-    nonzero minor.  The rank of every submatrix, the largest order of a
-    nonzero minor in it, is then the same mod p as over Q, and so are the
-    lex-first pivots, which are read off the ranks of column prefixes
-    (modular rank as in Dumas, Saunders and Villard, J. Symbolic Comput. 32,
-    2001).  There is no failure probability.
+    Let t = min(rows, columns) and P the product of the t largest squared
+    column norms, each zero norm counted as 1.  A nonzero minor M of the
+    matrix is an integer of order at most t, and by Hadamard's inequality
+    |M| is at most the product of the norms of its columns, each cut to the
+    minor's rows.  A cut column has norm at most the whole one, and M's
+    columns are nonzero, so each whole norm is at least 1; the product of
+    at most t of them is then at most that of the t largest, and
+    |M| <= isqrt(P).  The field is GF(p) with p > isqrt(P) from
+    ``choose_field``, so p divides no nonzero minor.  The rank of every
+    submatrix, the largest order of a nonzero minor in it, is then the same
+    mod p as over Q, and so are the lex-first pivots, which are read off
+    the ranks of column prefixes (modular rank as in Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001).  There is no failure
+    probability.
     """
-    product = 1
+    norms, nrows = [], 0
     for column in columns:
-        product *= sum(x * x for x in column) or 1
+        nrows = len(column)
+        norms.append(sum(x * x for x in column) or 1)
+    norms.sort(reverse=True)
+    product = 1
+    for norm in norms[:nrows]:
+        product *= norm
     return choose_field(0, 0, isqrt(product))
 
 
@@ -846,7 +857,11 @@ class PolynomialRing:
     minors of order at most r as intermediates (Sylvester's identity), so
     of degree at most r * d; the product formed before each exact division
     has at most twice that, and D = 2 * r * d covers the whole elimination.
-    ``pack`` and ``unpack`` convert from and to ``MultiPoly``.
+    That includes ``ProfileState``'s merged zero-factor steps: the product
+    piv_l * c[i] formed there is again a product of two minors of order at
+    most r.  A product of two monomials is one addition, and a division by
+    a single term maps each term directly, with no heap.  ``pack`` and
+    ``unpack`` convert from and to ``MultiPoly``.
     """
 
     is_field = False
@@ -954,11 +969,19 @@ class PolynomialRing:
     def mul(self, a, b):
         if not a or not b:
             return {}
+        p = self.characteristic
+        if len(a) == 1 and len(b) == 1:
+            # a product of two monomials is one addition, and over a prime
+            # field nonzero coefficients have a nonzero product; past the
+            # degree bound the check below raises
+            ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+            m = ma + mb
+            if m < self._limit:
+                return {m: ca * cb % p if p else ca * cb}
         if max(a) + max(b) >= self._limit:
             raise InternalError(
                 f"product exceeds the degree bound {self.degree_bound}"
             )
-        p = self.characteristic
         out: dict[int, int] = {}
         get = out.get
         b_items = tuple(b.items())
@@ -976,6 +999,8 @@ class PolynomialRing:
             raise InternalError("polynomial division by zero")
         if not a:
             return a
+        if len(b) == 1:
+            return self._div_term(a, b)
         p, guard = self.characteristic, self._guard
         lead_b = max(b)
         lc_b = b[lead_b]
@@ -1009,6 +1034,28 @@ class PolynomialRing:
                 else:
                     rest[mm] = -c * cb
                     heapq.heappush(heap, -mm)
+        return quotient
+
+    def _div_term(self, a, b):
+        """a / b for a single term b, term by term with no heap."""
+        ((mb, cb),) = b.items()
+        if mb == 0 and cb == 1:
+            # elements are immutable, so a itself is the quotient
+            return a
+        p, guard = self.characteristic, self._guard
+        inv_b = pow(cb, p - 2, p) if p else None
+        quotient = {}
+        for m, c in a.items():
+            if p:
+                c = c * inv_b % p
+            else:
+                c, r = divmod(c, cb)
+                if r:
+                    raise InternalError("inexact polynomial division (coefficient)")
+            d = m - mb
+            if d & guard:
+                raise InternalError("inexact polynomial division (monomial)")
+            quotient[d] = c
         return quotient
 
     def __repr__(self) -> str:
@@ -1109,9 +1156,27 @@ class ProfileState:
 
     Feed columns left to right with ``offer``; it answers whether the column
     increased the rank.  Its pivot is its first nonzero row once the earlier
-    pivots are eliminated from it.  Over a domain that is not a field, the
-    polynomial ring of the symbolic backend, the update is fraction-free
-    Bareiss, exact divisions only, against dense pivot columns.
+    pivots are eliminated from it.
+
+    Over a domain that is not a field, the polynomial ring of the symbolic
+    backend, the update is fraction-free Bareiss against dense pivots
+    ``(r, u, piv, prev)``: the column u as it was stacked at pivot row r,
+    piv = u[r], and prev the piv of the pivot before (1 for the first).
+    Each pivot in turn updates every live row i of an offered column c, one
+    that is not yet a pivot row, to (piv * c[i] - u[i] * f) / prev with the
+    factor f = c[r].  By Sylvester's identity every result is a minor of
+    the columns offered so far, so the division is exact (Bareiss, Math.
+    Comp. 22, 1968), and it is checked.  Updates whose result is known are
+    skipped: with c[i] = 0 and f = 0 or u[i] = 0 the row stays 0, and with
+    only one product zero the other is formed alone.  A step with f = 0
+    only scales the live rows by piv / prev, and since each prev is the piv
+    before it, a run of such steps k..l scales by piv_l / prev_k: one
+    product and one exact division per nonzero row, applied before the next
+    nonzero factor is read or the column is stacked, and not at all if the
+    column is dependent.  The ring has no zero divisors, so the quotient is
+    the one the steps give one by one, and the scale is nonzero, so zero
+    tests inside the run are unchanged.  Every decision, pivot row and
+    pivot is that of the dense update.
 
     Over a field it is Gauss-Jordan elimination against sparse pivots
     ``(pivot row, rows, values)``: normalized to 1 at its pivot row, a pivot
@@ -1172,22 +1237,49 @@ class ProfileState:
 
     def _offer_bareiss(self, c: list) -> bool:
         dom = self.dom
-        done: set[int] = set()
-        for pr, u, piv, prev_piv in self._stack:
+        mul, div, is_zero = dom.mul, dom.exact_div, dom.is_zero
+        live = list(range(self.m))
+        # a run of zero-factor steps so far scales the live rows by num / den
+        num = den = None
+        for pr, u, piv, prev in self._stack:
             f = c[pr]
-            for i in range(self.m):
-                if i == pr or i in done:
-                    continue
-                c[i] = dom.exact_div(
-                    dom.sub(dom.mul(piv, c[i]), dom.mul(u[i], f)), prev_piv
-                )
-            done.add(pr)
-        for i in range(self.m):
-            if i not in done and not dom.is_zero(c[i]):
-                prev = self._stack[-1][2] if self._stack else dom.one
-                self._stack.append((i, c, c[i], prev))
-                return True
-        return False
+            if is_zero(f):
+                # prev is the piv of the step before, so the run telescopes.
+                # The row leaving here holds f = 0 and needs no scaling; no
+                # later offer reads a stacked column at its earlier pivot rows
+                live.remove(pr)
+                if num is None:
+                    den = prev
+                num = piv
+                continue
+            if num is not None:
+                self._scale(c, live, num, den)
+                f, num = c[pr], None
+            live.remove(pr)
+            for i in live:
+                ci, ui = c[i], u[i]
+                if is_zero(ui):
+                    if not is_zero(ci):
+                        c[i] = div(mul(piv, ci), prev)
+                elif is_zero(ci):
+                    c[i] = dom.neg(div(mul(ui, f), prev))
+                else:
+                    c[i] = div(dom.sub(mul(piv, ci), mul(ui, f)), prev)
+        pr = next((i for i in live if not is_zero(c[i])), None)
+        if pr is None:
+            return False
+        if num is not None:
+            self._scale(c, live, num, den)
+        prev = self._stack[-1][2] if self._stack else dom.one
+        self._stack.append((pr, c, c[pr], prev))
+        return True
+
+    def _scale(self, c: list, rows: list, num, den) -> None:
+        """Replace c[i] by num * c[i] / den at each of ``rows``."""
+        dom = self.dom
+        for i in rows:
+            if not dom.is_zero(c[i]):
+                c[i] = dom.exact_div(dom.mul(num, c[i]), den)
 
     def _offer_gauss(self, c: list) -> bool:
         dom, p = self.dom, self._p

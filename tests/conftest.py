@@ -4,11 +4,14 @@ The oracles here deliberately do not reuse the package's own elimination
 code: ranks and determinants are recomputed with ``fractions.Fraction``
 so that library results are checked against a second, independent route.
 The GF(2^e) multiply is kept here bit-serial, reducing one bit per step,
-as the reference for the table-driven reduction in ``shiftlab.field``, and
+as the reference for the table-driven reduction in ``shiftlab.field``,
 Rabin's irreducibility test on coefficient lists as an independent oracle
-for the package's Ben-Or test.  The package computes over Q modulo a prime;
-``ZZ`` here is the ring of plain integers for tests that evaluate or
-eliminate over the integers themselves.
+for the package's Ben-Or test, and the fraction-free Bareiss offer dense,
+every pivot updating every row, as the reference for the one in
+``ProfileState``, which skips updates whose result it already knows.  The
+package computes over Q modulo a prime; ``ZZ`` here is the ring of plain
+integers for tests that evaluate or eliminate over the integers
+themselves.
 """
 
 from __future__ import annotations
@@ -217,6 +220,29 @@ class IntegerRing:
 
 
 ZZ = IntegerRing()
+
+
+def dense_offer_bareiss(self, c: list) -> bool:
+    """``ProfileState._offer_bareiss`` with no update skipped: every stacked
+    pivot updates every row that is not an earlier pivot row, zeros and
+    zero factors included.  Call it on a ``ProfileState`` below full rank."""
+    dom = self.dom
+    done: set[int] = set()
+    for pr, u, piv, prev_piv in self._stack:
+        f = c[pr]
+        for i in range(self.m):
+            if i == pr or i in done:
+                continue
+            c[i] = dom.exact_div(
+                dom.sub(dom.mul(piv, c[i]), dom.mul(u[i], f)), prev_piv
+            )
+        done.add(pr)
+    for i in range(self.m):
+        if i not in done and not dom.is_zero(c[i]):
+            prev = self._stack[-1][2] if self._stack else dom.one
+            self._stack.append((i, c, c[i], prev))
+            return True
+    return False
 
 
 # ------------------------------------------------ finite-field oracles

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     ZZ,
+    dense_offer_bareiss,
     frac_pivots,
     frac_pivots_mod,
     frac_rank,
@@ -405,6 +406,46 @@ def test_polynomial_ring_refuses_degree_above_its_bound():
         ring.pack(MultiPoly.variable(2, 2))
 
 
+def test_polynomial_ring_divides_by_one_term_without_the_heap():
+    x11, x12 = MultiPoly.variable(1, 1), MultiPoly.variable(1, 2)
+    for char in (0, 2, 7):
+        ring = PolynomialRing(char, [(1, 1), (1, 2), (2, 1), (2, 2)], 4)
+        a = ring.pack(3 * x11**2 * x12 + 5 * x11 - 1)
+        assert ring.exact_div(a, ring.one) == a
+        assert ring.exact_div(ring.zero, ring.pack(x11)) == ring.zero
+        # x11^2 / (x11 * x12) leaves the x11 field at +1 and borrows from
+        # the x12 field, though the total degree stays 0
+        with pytest.raises(InternalError, match="monomial"):
+            ring.exact_div(ring.pack(x11**2), ring.pack(x11 * x12))
+        with pytest.raises(InternalError, match="monomial"):
+            ring.exact_div(ring.pack(x11 * x12 + 1), ring.pack(x12))
+        gen = rng(f"one-term-div-{char}")
+        for _ in range(30):
+            f = ring.pack(_random_poly(gen, nvars=2, nterms=3, deg=2).reduce_mod(char))
+            # a nonzero constant in each of the three characteristics
+            t = MultiPoly.const(gen.choice([1, 3, -5]))
+            t = ring.pack(t * x11 ** gen.randint(0, 1) * x12 ** gen.randint(0, 1))
+            assert ring.exact_div(ring.mul(f, t), t) == f
+    ring7 = PolynomialRing(7, [(1, 1), (1, 2)], 4)
+    # 3 / 2 = 5 and 5 / 2 = 6 in GF(7)
+    quotient = ring7.exact_div(ring7.pack(3 * x11**2 * x12 + 5 * x11), ring7.pack(2 * x11))
+    assert ring7.unpack(quotient) == 5 * x11 * x12 + 6
+    ring2 = PolynomialRing(2, [(1, 1), (1, 2)], 4)
+    quotient = ring2.exact_div(ring2.pack(x11**2 + x11 * x12), ring2.pack(x11))
+    assert ring2.unpack(quotient) == x11 + x12
+
+
+def test_polynomial_ring_monomial_products_keep_the_degree_bound():
+    x11, x12 = MultiPoly.variable(1, 1), MultiPoly.variable(1, 2)
+    for char in (0, 2, 7):
+        ring = PolynomialRing(char, [(1, 1), (1, 2)], 3)
+        product = ring.mul(ring.pack(3 * x11**2), ring.pack(5 * x12))
+        assert ring.unpack(product) == (15 * x11**2 * x12).reduce_mod(char)
+        for a, b in ((3 * x11**3, x12), (x11**2, x12**2), (x12**3, x12)):
+            with pytest.raises(InternalError, match="degree bound"):
+                ring.mul(ring.pack(a), ring.pack(b))
+
+
 # --------------------------------------------------------------- streams
 
 
@@ -668,3 +709,107 @@ def test_profile_state_copy_is_independent(domain):
     assert not early.offer(twice_a)
     assert early.offer(b) and early.pivot_rows == state.pivot_rows[:2]
     assert state.copy(0).rank == 0 and state.copy(0).offer([0, 0, 1])
+
+
+def _offer_both(state, reference, column) -> bool:
+    """Offer one column to the state and, densely, to its reference twin."""
+    took = state.offer(list(column))
+    want = reference.rank < reference.m and dense_offer_bareiss(reference, list(column))
+    assert took == want
+    assert state.pivot_rows == reference.pivot_rows
+    for j, (got, ref) in enumerate(zip(state._stack, reference._stack)):
+        # pivot element and the prev it divides by
+        assert got[2:] == ref[2:]
+        earlier = set(reference.pivot_rows[:j])
+        live = [i for i in range(reference.m) if i not in earlier]
+        assert [got[1][i] for i in live] == [ref[1][i] for i in live]
+    return took
+
+
+def _sparse_polynomial_column(gen, ring, nrows):
+    """Mostly zero and single-term entries, some constants and binomials."""
+    column = []
+    for _ in range(nrows):
+        roll = gen.random()
+        if roll < 0.5:
+            column.append(ring.zero)
+        elif roll < 0.85:
+            term = MultiPoly.const(gen.choice([1, 1, -1, 2, 3]))
+            for _ in range(gen.randint(0, 2)):
+                term = term * MultiPoly.variable(gen.randint(1, 2), gen.randint(1, 2))
+            column.append(ring.pack(term.reduce_mod(ring.characteristic)))
+        else:
+            poly = _random_poly(gen, nvars=2, nterms=1, deg=2)
+            column.append(ring.pack(poly.reduce_mod(ring.characteristic)))
+    return column
+
+
+@pytest.mark.parametrize("char", [0, 2, 7])
+def test_sparse_bareiss_matches_the_dense_reference(char):
+    gen = rng(f"sparse-bareiss-{char}")
+    for _ in range(25):
+        nrows = gen.randint(2, 6)
+        # entries of degree at most 4 (a monomial times a degree-2 column)
+        ring = PolynomialRing(char, [(1, 1), (1, 2), (2, 1), (2, 2)], 2 * nrows * 4)
+        twins = [(ProfileState(ring, nrows), ProfileState(ring, nrows))]
+        offered = []
+        for _ in range(2 * nrows + 2):
+            if offered and gen.random() < 0.3:
+                # a combination of earlier columns, often dependent
+                column = [ring.zero] * nrows
+                for earlier in gen.sample(offered, min(2, len(offered))):
+                    scale = ring.pack(MultiPoly.variable(gen.randint(1, 2), 1))
+                    column = [ring.add(x, ring.mul(scale, y)) for x, y in zip(column, earlier)]
+            else:
+                column = _sparse_polynomial_column(gen, ring, nrows)
+            offered.append(column)
+            for state, reference in twins:
+                _offer_both(state, reference, column)
+            state, reference = gen.choice(twins)
+            rank = gen.randint(0, state.rank)
+            twins.append((state.copy(rank), reference.copy(rank)))
+
+
+@pytest.mark.parametrize("char", [0, 2, 7])
+def test_sparse_bareiss_merges_a_run_of_zero_factors(char, monkeypatch):
+    scales, scale = [], ProfileState._scale
+
+    def spy(self, c, rows, num, den):
+        # the live rows are a list the offer shrinks later, so keep a copy
+        scales.append((list(rows), num, den))
+        scale(self, c, rows, num, den)
+
+    monkeypatch.setattr(ProfileState, "_scale", spy)
+    gen = rng(f"zero-factor-run-{char}")
+    ring = PolynomialRing(char, [(1, 1), (1, 2), (2, 1), (2, 2)], 2 * 6 * 3)
+    x = ring.pack(MultiPoly.variable(2, 1))
+
+    def poly():
+        while True:
+            p = ring.pack(_random_poly(gen, nvars=2, nterms=2, deg=2).reduce_mod(char))
+            if not ring.is_zero(p):
+                return p
+
+    # pivots at rows 0..3, each zero above its pivot row
+    pivots = [[ring.zero] * j + [poly() for _ in range(6 - j)] for j in range(4)]
+    state, reference = ProfileState(ring, 6), ProfileState(ring, 6)
+    for column in pivots:
+        assert _offer_both(state, reference, column)
+    # factors zero at pivots 0, 1 and 2, then a nonzero factor at pivot 3
+    del scales[:]
+    column = [ring.zero] * 3 + [poly(), poly(), poly()]
+    assert _offer_both(state.copy(), reference.copy(), column)
+    # zero factors at all four pivots: the run is applied when the column is
+    # stacked
+    column = [ring.zero] * 4 + [poly(), poly()]
+    assert _offer_both(state.copy(), reference.copy(), column)
+    # x times pivot 3 depends on it after three zero factors
+    assert not _offer_both(state, reference, [ring.mul(x, e) for e in pivots[3]])
+    # each column above scaled its live rows once, by piv_l / prev_k over
+    # its run; every run starts at pivot 0, whose prev is 1
+    pivs = [pivot[2] for pivot in state._stack]
+    assert scales == [
+        ([3, 4, 5], pivs[2], ring.one),
+        ([4, 5], pivs[3], ring.one),
+        ([3, 4, 5], pivs[2], ring.one),
+    ]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import frac_rank, frac_rank_mod, rng
+from conftest import frac_pivots, frac_rank, frac_rank_mod, rng
 from shiftlab import (
     Backend,
     BettiVector,
@@ -41,6 +41,7 @@ from shiftlab import (
     weak_order_geq,
 )
 from shiftlab import field, shiftcore, topology
+from shiftlab.field import lex_first_bases, matrix_rank
 from shiftlab.topology import ComplexScanResult, GraphScanResult
 
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
@@ -174,6 +175,19 @@ def test_rational_betti_matches_fraction_ranks_on_larger_complexes():
             columns = zip(*topology._boundary_matrix(K, s))
             primes.add(field.rational_rank_field(columns).p)
     assert max(primes) > 2**61 - 1
+
+
+def test_rational_rank_field_bounds_a_minor_by_its_largest_columns():
+    # d_2 of the 376-face complex has 55 edges and 164 triangles; a minor has
+    # at most 55 columns, so 3^55 bounds its square, and isqrt(3^55) < 2^61 - 1
+    (K,) = [K for K in _larger_complexes("betti-over-q", 5) if len(K.faces) == 376]
+    rows = topology._boundary_matrix(K, 2)
+    assert (len(rows), len(rows[0])) == (55, 164)
+    fld = field.rational_rank_field(zip(*rows))
+    assert fld.p == 2**61 - 1
+    assert matrix_rank(rows) == frac_rank(rows)
+    (kept,) = lex_first_bases(list(zip(*rows)), len(rows), fld, [range(len(rows[0]))])
+    assert [t for t in range(len(rows[0])) if kept >> t & 1] == frac_pivots(rows)[1]
 
 
 def test_rational_betti_past_the_prime_table_is_refused(short_prime_table):
