@@ -69,12 +69,12 @@ __all__ = ["main"]
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -127,10 +127,11 @@ def _matrix_from_spec(spec: str, expected_n: int) -> GenericMatrix:
             "unipotent": generic_unipotent,
         }[kind]
         return builder(n)
-    try:
-        payload = json.loads(_read_text(spec))
+    text = _read_text(spec)
+    try:  # ValueError also covers integers past Python's digit limit
+        payload = json.loads(text)
         n, entries = payload["n"], payload["entries"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputFormatError(f"bad matrix file {spec!r}: {exc}") from exc
     _require_json_ints("matrix", (), n=n)
     if n != expected_n:
@@ -167,8 +168,11 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

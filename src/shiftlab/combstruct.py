@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, MathPreconditionError, NotClosedError
@@ -29,11 +28,7 @@ __all__ = [
     "KSubset",
     "k_subsets",
     "lex_compare",
-    "subset_rank",
-    "subset_unrank",
-    "dominates",
     "UniformHypergraph",
-    "hypergraph_lex_compare",
     "is_shifted",
     "FVector",
     "SimplicialComplex",
@@ -118,17 +113,6 @@ def lex_compare(a: KSubset, b: KSubset) -> int:
     return -1 if diff & -diff & a.bits else 1
 
 
-def dominates(sigma: KSubset, tau: KSubset) -> bool:
-    """True iff sigma is at most tau coordinate by coordinate.
-
-    Both sets must have the same cardinality; equivalent formulation:
-    for every v, sigma has at least as many elements <= v as tau does.
-    """
-    if sigma.k != tau.k:
-        raise MathPreconditionError("domination compares equal-size subsets only")
-    return all(a <= b for a, b in zip(sigma.elements(), tau.elements()))
-
-
 @lru_cache(maxsize=None)
 def k_subsets(n: int, k: int) -> tuple[KSubset, ...]:
     """All k-subsets of {1, .., n} in lexicographic order."""
@@ -137,33 +121,6 @@ def k_subsets(n: int, k: int) -> tuple[KSubset, ...]:
     return tuple(
         KSubset.from_elements(n, combo) for combo in combinations(range(1, n + 1), k)
     )
-
-
-def subset_rank(s: KSubset) -> int:
-    """Position of ``s`` in the lexicographic enumeration of its (n, k)."""
-    rank, prev = 0, 0
-    remaining = s.k
-    for v in s.elements():
-        for u in range(prev + 1, v):
-            rank += comb(s.n - u, remaining - 1)
-        prev = v
-        remaining -= 1
-    return rank
-
-
-def subset_unrank(n: int, k: int, rank: int) -> KSubset:
-    if not 0 <= rank < comb(n, k):
-        raise MathPreconditionError(f"rank {rank} out of range for C({n},{k})")
-    elements = []
-    v = 1
-    while len(elements) < k:
-        block = comb(n - v, k - len(elements) - 1)
-        if rank < block:
-            elements.append(v)
-        else:
-            rank -= block
-        v += 1
-    return KSubset.from_elements(n, elements)
 
 
 # ------------------------------------------------------------- hypergraphs
@@ -220,17 +177,6 @@ class UniformHypergraph:
 
     def __repr__(self) -> str:
         return f"UniformHypergraph(n={self.n}, k={self.k}, {list(self.edges)})"
-
-
-def hypergraph_lex_compare(a: UniformHypergraph, b: UniformHypergraph) -> int:
-    """-1, 0 or 1; the smaller family owns the lex-least edge they disagree on."""
-    if (a.n, a.k) != (b.n, b.k):
-        raise MathPreconditionError("hypergraphs live on different vertex sets")
-    sym = a.edge_bits() ^ b.edge_bits()
-    if not sym:
-        return 0
-    least = min((KSubset(a.n, bits) for bits in sym), key=lambda s: s.elements())
-    return -1 if least.bits in a.edge_bits() else 1
 
 
 def is_shifted(h: UniformHypergraph) -> bool:
@@ -489,7 +435,7 @@ def read_family(
     if text.lstrip()[:1] in ("{", "["):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's digit limit
             raise InputFormatError(f"invalid JSON input: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputFormatError("JSON input must be an object")

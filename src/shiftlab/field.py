@@ -708,19 +708,6 @@ class MultiPoly:
     def reduce_mod(self, p: int) -> "MultiPoly":
         return MultiPoly._raw(_norm_terms(self.terms, p))
 
-    def map_variables(self, mapping) -> "MultiPoly":
-        """Apply a relabeling var -> var to every monomial."""
-        out: dict[Monomial, int] = {}
-        for mono, c in self.terms.items():
-            new = tuple(
-                sorted(
-                    ((mapping(var), e) for var, e in mono),
-                    key=lambda item: _var_key(item[0]),
-                )
-            )
-            out[new] = out.get(new, 0) + c
-        return MultiPoly._raw(_norm_terms(out, 0))
-
     def evaluate(self, assignment: Mapping[Var, object], domain) -> object:
         total = domain.zero
         for mono, coeff in self.terms.items():

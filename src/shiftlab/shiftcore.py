@@ -46,7 +46,6 @@ from .field import (
     PolynomialRing,
     lex_first_bases,
     matrix_rank,
-    rational_rank_field,
     sample_eval_point,
 )
 from .symgroup import Permutation, all_permutations
@@ -54,7 +53,6 @@ from .symgroup import Permutation, all_permutations
 __all__ = [
     "GenericMatrix",
     "matrix_from_entries",
-    "identity_matrix",
     "generic_matrix",
     "generic_unipotent",
     "cell_unipotent",
@@ -63,8 +61,6 @@ __all__ = [
     "combinatorial_shift_matrix",
     "vandermonde_matrix",
     "matrix_product",
-    "matrix_difference",
-    "twist",
     "evaluate_matrix",
     "compound_rows",
     "exterior_shift",
@@ -75,9 +71,6 @@ __all__ = [
     "all_partial_shifts",
     "shift_layers",
     "combinatorial_shift",
-    "bruhat_cell",
-    "coset_normalize",
-    "product_defect",
     "INVERTIBILITY_RETRIES",
 ]
 
@@ -164,13 +157,6 @@ def matrix_from_entries(
         entries=coerced,
         unit_determinant=unit_determinant,
         known_invertible=known_invertible,
-    )
-
-
-def identity_matrix(n: int) -> GenericMatrix:
-    return matrix_from_entries(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        unit_determinant=True,
     )
 
 
@@ -286,41 +272,6 @@ def matrix_product(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
         entries=tuple(rows),
         unit_determinant=a.unit_determinant and b.unit_determinant,
         known_invertible=a.symbolically_invertible and b.symbolically_invertible,
-    )
-
-
-def matrix_difference(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
-    if a.n != b.n:
-        raise MathPreconditionError("matrix size mismatch in difference")
-    rows = tuple(
-        tuple(x - y for x, y in zip(ra, rb))
-        for ra, rb in zip(a.entries, b.entries)
-    )
-    return GenericMatrix(n=a.n, entries=rows)
-
-
-def twist(m: GenericMatrix, v: Permutation) -> GenericMatrix:
-    """Relabel every variable x_{ij} to x_{i.v^-1, j.v^-1} in every entry.
-
-    On the fully generic matrix this variable relabeling coincides with
-    conjugation by the permutation matrix of v.
-    """
-    if v.n != m.n:
-        raise MathPreconditionError("permutation size must match the matrix")
-    vinv = v.inverse()
-
-    def relabel(var):
-        i, j = var
-        return (vinv.apply(i), vinv.apply(j))
-
-    rows = tuple(
-        tuple(entry.map_variables(relabel) for entry in row) for row in m.entries
-    )
-    return GenericMatrix(
-        n=m.n,
-        entries=rows,
-        unit_determinant=m.unit_determinant,
-        known_invertible=m.known_invertible,
     )
 
 
@@ -671,9 +622,10 @@ def all_partial_shifts(
     the lex-first column basis of M_S with lex column sigma read as column
     w^-1(sigma).  This is exact:
 
-    - ``coset_normalize`` splits U.P_w into u'.P_w.u'', with u' supported on
-      the inversions of w and u'' upper unitriangular.  Setting U's entries
-      off the inversions to zero makes u' = U, so u' is generic in its cell.
+    - ``coset_normalize`` (in ``tests/lemmas.py``, with its tests) splits
+      U.P_w into u'.P_w.u'', with u' supported on the inversions of w and
+      u'' upper unitriangular.  Setting U's entries off the inversions to
+      zero makes u' = U, so u' is generic in its cell.
     - The k-th compound of an upper triangular matrix is upper triangular in
       lex order, so right-multiplying by u'' keeps every prefix column span
       of the compound rows S.  The shift by U.P_w therefore equals the
@@ -739,139 +691,3 @@ def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergra
     if result.m != S.m:
         raise InternalError("combinatorial shift changed the edge count")
     return result
-
-
-# ------------------------------------------------- Bruhat cell detection
-
-
-def _southwest_ranks(rows: list[list], domain) -> list[list[int]]:
-    """R[i][j] = rank of the block with rows i..n and columns 1..j (1-based)."""
-    n = len(rows)
-    table = [[0] * (n + 1) for _ in range(n + 2)]
-    for i in range(n, 0, -1):
-        block = rows[i - 1 :]
-        (kept,) = lex_first_bases(list(zip(*block)), len(block), domain, [range(n)])
-        for j in range(n):
-            table[i][j + 1] = table[i][j] + (kept >> j & 1)
-    return table
-
-
-def bruhat_cell(rows: Sequence[Sequence], domain=None) -> Permutation:
-    """The unique permutation whose double coset contains the given matrix.
-
-    Works on a concrete invertible matrix over a field, by default an
-    integer matrix over Q, ranked in the field of ``rational_rank_field``.
-    Position (i, i.w) is detected where the southwest rank table steps in
-    both directions at once; this profile is invariant under multiplying
-    by upper triangular invertible matrices on either side.
-    """
-    mat = [list(row) for row in rows]
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise MathPreconditionError("bruhat_cell needs a square matrix")
-    dom = domain if domain is not None else rational_rank_field(zip(*mat))
-    table = _southwest_ranks(mat, dom)
-    if table[1][n] < n:
-        raise MatrixNotInvertibleError("matrix is singular")
-    images = [0] * n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            step = (
-                table[i][j]
-                - table[i + 1][j]
-                - table[i][j - 1]
-                + table[i + 1][j - 1]
-            )
-            if step == 1:
-                if images[i - 1]:
-                    raise InternalError("ambiguous Bruhat cell profile")
-                images[i - 1] = j
-    if sorted(images) != list(range(1, n + 1)):
-        raise InternalError("Bruhat cell profile is not a permutation")
-    return Permutation(tuple(images))
-
-
-def coset_normalize(u_rows: Sequence[Sequence], w: Permutation, domain):
-    """Split u.w into u'.w.u'' with u' supported on the inversions of w.
-
-    ``u_rows`` is a concrete unipotent upper-triangular matrix over the
-    ring ``domain``.  Entries at non-inversion positions are cleared with
-    elementary column operations; each one is compensated on the right of
-    w, so u.w = u'.w.u'' holds exactly, with u'' again unipotent
-    upper-triangular.
-    """
-    n = w.n
-    u = [list(row) for row in u_rows]
-    if len(u) != n or any(len(row) != n for row in u):
-        raise MathPreconditionError("matrix size must match the permutation")
-    for i in range(n):
-        if not domain.is_zero(domain.sub(u[i][i], domain.one)):
-            raise MathPreconditionError("matrix is not unipotent")
-        for j in range(i):
-            if not domain.is_zero(u[i][j]):
-                raise MathPreconditionError("matrix is not upper triangular")
-    inv = w.inversions()
-    upp = [[domain.one if i == j else domain.zero for j in range(n)] for i in range(n)]
-    for l in range(2, n + 1):
-        for k in range(l - 1, 0, -1):
-            if (k, l) in inv:
-                continue
-            gamma = u[k - 1][l - 1]
-            if domain.is_zero(gamma):
-                continue
-            # u <- u * e_{kl}(-gamma): column l picks up -gamma * column k
-            for i in range(n):
-                u[i][l - 1] = domain.sub(u[i][l - 1], domain.mul(gamma, u[i][k - 1]))
-            # compensate on the right: u'' <- e_{k.w, l.w}(gamma) * u''
-            kw, lw = w.apply(k) - 1, w.apply(l) - 1
-            for j in range(n):
-                upp[kw][j] = domain.add(upp[kw][j], domain.mul(gamma, upp[lw][j]))
-    return u, upp
-
-
-# ----------------------------------------------------- product structure
-
-
-def product_defect(v: Permutation, w: Permutation) -> GenericMatrix:
-    """Difference between the product of cell representatives and the joint one.
-
-    Requires additive lengths (the product vw must extend v in the right
-    weak order).  Returns cell_representative(v) * twist of
-    cell_representative(w) minus cell_representative(v*w), after verifying
-    the difference against its closed-form double-sum expression: entry
-    (i, k) sums x_{i, j.v^-1} * x_{j.v^-1, k.(vw)^-1} over all j for which
-    (i, j.v^-1) inverts v and (j, k.w^-1) inverts w.
-    """
-    if v.n != w.n:
-        raise MathPreconditionError("permutation sizes differ")
-    vw = v * w
-    if vw.length() != v.length() + w.length():
-        raise MathPreconditionError(
-            "product defect requires additive lengths "
-            f"({v.length()} + {w.length()} != {vw.length()})"
-        )
-    n = v.n
-    product = matrix_product(cell_representative(v), twist(cell_representative(w), v))
-    defect = matrix_difference(product, cell_representative(vw))
-    v_inv, w_inv = v.inverse(), w.inverse()
-    vw_inv = vw.inverse()
-    inv_v, inv_w = v.inversions(), w.inversions()
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            expected = MultiPoly.zero()
-            for j in range(1, n + 1):
-                jv = v_inv.apply(j)
-                if i >= jv or (i, jv) not in inv_v:
-                    continue
-                kw = w_inv.apply(k)
-                if j >= kw or (j, kw) not in inv_w:
-                    continue
-                expected = expected + MultiPoly.variable(i, jv) * MultiPoly.variable(
-                    jv, vw_inv.apply(k)
-                )
-            if defect.entries[i - 1][k - 1] != expected:
-                raise InternalError(
-                    "product defect disagrees with its closed form at "
-                    f"({i}, {k})"
-                )
-    return defect

@@ -355,7 +355,7 @@ def parse_graph_json(text: str):
     """Inverse of export_json; export(parse(export(g))) == export(g)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past Python's digit limit
         raise InputFormatError(f"invalid graph JSON: {exc}") from exc
     try:
         n, k, m = payload["n"], payload["k"], payload["m"]

@@ -27,7 +27,6 @@ __all__ = [
     "Permutation",
     "all_permutations",
     "weak_order_geq",
-    "inversions_of_product",
     "parse_permutation",
 ]
 
@@ -187,26 +186,6 @@ def weak_order_geq(w: Permutation, u: Permutation) -> bool:
     if w.n != u.n:
         raise MathPreconditionError("permutations act on different ground sets")
     return u.length() + (u.inverse() * w).length() == w.length()
-
-
-def inversions_of_product(v: Permutation, w: Permutation) -> frozenset[tuple[int, int]]:
-    """Inversion set of v * w computed without forming the product.
-
-    It is the symmetric difference of the inversions of v and the inversions
-    of w pulled back through v (each pair relabeled by the inverse of v and
-    reordered increasingly).  The lengths of v and w add up exactly when the
-    two sets are disjoint.
-    """
-    if v.n != w.n:
-        raise MathPreconditionError("permutations act on different ground sets")
-    vinv = v.inverse()
-    pulled = frozenset(
-        (a, b) if a < b else (b, a)
-        for a, b in (
-            (vinv.apply(i), vinv.apply(j)) for (i, j) in w.inversions()
-        )
-    )
-    return v.inversions() ^ pulled
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab import Backend, field, make_field_context
+from shiftlab import field
 from shiftlab.field import (
     _gfp_poly_divmod,
     _gfp_poly_gcd,
@@ -43,29 +43,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture(scope="session")
-def acceptance_report():
-    return ACCEPTANCE_REPORT
-
-
-@pytest.fixture(scope="session")
-def sym_ctx():
-    return make_field_context(0, Backend.SYMBOLIC)
-
-
-@pytest.fixture(scope="session")
-def sym_ctx2():
-    return make_field_context(2, Backend.SYMBOLIC)
-
-
-@pytest.fixture(scope="session")
-def rand_ctx():
-    return make_field_context(0, Backend.RANDOMIZED, seed=0)
-
-
-@pytest.fixture(scope="session")
-def rand_ctx2():
-    return make_field_context(2, Backend.RANDOMIZED, seed=0)
+# the six-vertex triangulation of the real projective plane
+RP2_FACETS = [
+    [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
+    [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
+]
 
 
 @pytest.fixture()

@@ -24,6 +24,7 @@ from conftest import (
     random_unit_upper,
     rng,
 )
+from lemmas import hypergraph_lex_compare, map_variables, twist
 from shiftlab import (
     Backend,
     MultiPoly,
@@ -39,7 +40,6 @@ from shiftlab import (
     conjecture_scan,
     contract,
     exterior_shift,
-    hypergraph_lex_compare,
     is_acyclic,
     is_near_cone,
     is_shifted,
@@ -53,7 +53,6 @@ from shiftlab import (
     preserves_betti_certificate,
     random_complexes,
     shift_complex,
-    twist,
 )
 from shiftlab.reproduce import TargetResult, available_targets, golden_data, run_target
 
@@ -285,7 +284,7 @@ def _suite_functoriality():
             [[MultiPoly.variable(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
         )
         b = matrix_from_entries(
-            [[a.entries[i][j].map_variables(relabel) for j in range(n)] for i in range(n)]
+            [[map_variables(a.entries[i][j], relabel) for j in range(n)] for i in range(n)]
         )
         ab = matrix_product(a, b)
         for k in range(1, n + 1):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import RP2_FACETS
 from shiftlab import (
     Backend,
     SimplicialComplex,
@@ -14,7 +15,6 @@ from shiftlab import (
     build_shift_graph,
     build_shift_graph_from,
     contract,
-    export_dot,
     export_json,
     hypergraph_to_json,
     make_field_context,
@@ -22,12 +22,6 @@ from shiftlab import (
 from shiftlab import reproduce
 from shiftlab.cli import main
 from shiftlab.reproduce import available_targets
-
-RP2_FACETS = [
-    [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
-    [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
-]
-
 
 @pytest.fixture()
 def rp2_file(tmp_path):
@@ -256,6 +250,30 @@ def test_shift_output_file(tmp_path, capsys):
     assert out == ""
     assert json.loads(dest.read_text())["edges"] == [[1, 2]]
     assert dest.read_text().endswith("\n")
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"n": 4, "k": 2, "edges": [[2, 4]]}))
+    dest = tmp_path / "absent" / "out.json"
+    code, out, err = run_cli(capsys, "shift", "-i", str(inp), "--perm", "w0", "-o", str(dest))
+    assert (code, out, err.count("\n")) == (2, "", 1) and "cannot write" in err
+
+
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    inp = tmp_path / "bad.txt"
+    inp.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run_cli(capsys, "shift", "-i", str(inp), "--perm", "w0")
+    assert (code, out, err.count("\n")) == (2, "", 1) and "cannot read" in err
+
+
+def test_matrix_file_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError for it, not a JSONDecodeError
+    inp, mat = tmp_path / "in.json", tmp_path / "mat.json"
+    inp.write_text(json.dumps({"n": 2, "k": 1, "edges": [[2]]}))
+    mat.write_text('{"n": 2, "entries": [[1, %s], [0, 1]]}' % ("9" * 5000))
+    code, out, err = run_cli(capsys, "shift", "-i", str(inp), "--matrix", str(mat))
+    assert (code, out) == (2, "") and "bad matrix file" in err
 
 
 # ------------------------------------------------- one family, every form

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from conftest import rng
+from lemmas import dominates, hypergraph_lex_compare, subset_rank, subset_unrank
 from shiftlab import (
     FVector,
     InputFormatError,
@@ -19,19 +20,15 @@ from shiftlab import (
     complex_from_layers,
     complex_from_text,
     complex_to_json,
-    dominates,
     faces_to_text,
     hypergraph_from_json,
     hypergraph_from_text,
-    hypergraph_lex_compare,
     hypergraph_to_json,
     is_near_cone,
     is_shifted,
     k_subsets,
     lex_compare,
     read_family,
-    subset_rank,
-    subset_unrank,
 )
 
 
@@ -362,6 +359,10 @@ def test_complex_json_round_trip():
         (hypergraph_from_json, '{"n": 4, "k": 2, "edges": [[1, 9]]}'),
         (complex_from_json, '{"n": "x", "facets": 3}'),
         (complex_from_json, '{"facets": [[1]]}'),
+        # past Python's digit limit json.loads raises a plain ValueError
+        pytest.param(
+            read_family, '{"n": 4, "k": 2, "edges": [[1, %s]]}' % ("9" * 5000), id="digit-limit"
+        ),
     ],
 )
 def test_bad_json_raises_input_format_error(loader, text):

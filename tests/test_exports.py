@@ -30,6 +30,32 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
+# library readers that no command calls: README's "File formats" section
+# documents them, and bench/workloads.py calls hypergraph_from_json
+UNREAD_EXPORTS = {
+    "hypergraph_from_json", "complex_from_json", "hypergraph_from_text", "complex_from_text"
+}
+
+
+def test_every_exported_name_is_read_in_src():
+    # a read is a loaded AST Name or Attribute in src/ outside __init__.py,
+    # so docstrings and __all__ strings do not count: what only tests call
+    # lives in tests/lemmas.py
+    reads = set(UNREAD_EXPORTS)
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    reads.add(getattr(node, "id", getattr(node, "attr", None)))
+    unread = {
+        f"{module_name}.{name}"
+        for module_name in MODULES
+        for name in importlib.import_module(module_name).__all__
+        if name not in reads
+    }
+    assert unread == set()
+
+
 def _bench_spans():
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)

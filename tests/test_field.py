@@ -15,6 +15,7 @@ from conftest import (
     is_irreducible_oracle,
     rng,
 )
+from lemmas import map_variables
 from shiftlab import (
     Backend,
     Characteristic,
@@ -337,9 +338,9 @@ def test_multipoly_reduce_mod_is_a_homomorphism():
 def test_multipoly_map_variables():
     x12, x21 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 1)
     f = x12 * x12 + MultiPoly.const(3) * x21
-    swapped = f.map_variables(lambda var: (var[1], var[0]))
+    swapped = map_variables(f, lambda var: (var[1], var[0]))
     assert swapped == x21 * x21 + MultiPoly.const(3) * x12
-    assert swapped.map_variables(lambda var: (var[1], var[0])) == f
+    assert map_variables(swapped, lambda var: (var[1], var[0])) == f
 
 
 def test_polynomial_ring_exact_division():

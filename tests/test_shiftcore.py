@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    RP2_FACETS,
     ZZ,
     frac_minor,
     frac_pivots,
@@ -15,6 +16,15 @@ from conftest import (
     random_invertible,
     random_unit_upper,
     rng,
+)
+from lemmas import (
+    bruhat_cell,
+    coset_normalize,
+    hypergraph_lex_compare,
+    identity_matrix,
+    matrix_difference,
+    product_defect,
+    twist,
 )
 from shiftlab import (
     Backend,
@@ -28,35 +38,28 @@ from shiftlab import (
     all_partial_shifts,
     all_permutations,
     betti_numbers,
-    bruhat_cell,
     cell_representative,
     cell_unipotent,
     combinatorial_shift,
     combinatorial_shift_matrix,
     compound_rows,
-    coset_normalize,
     exterior_shift,
     exterior_shift_profile,
     full_shift,
     generic_matrix,
     generic_unipotent,
-    hypergraph_lex_compare,
-    identity_matrix,
     is_shifted,
     k_subsets,
     make_field_context,
-    matrix_difference,
     matrix_from_entries,
     matrix_product,
     matrix_rank,
     partial_shift,
     partial_shift_profile,
     permutation_matrix,
-    product_defect,
     random_complexes,
     shift_complex,
     shift_complex_all_cells,
-    twist,
     vandermonde_matrix,
 )
 from shiftlab import reproduce, shiftcore
@@ -643,14 +646,7 @@ def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
     assert (info.hits, info.misses, info.currsize) == (11, 3, 3)
 
 
-RP2_TOP = UniformHypergraph.from_edges(
-    6,
-    3,
-    [
-        [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
-        [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
-    ],
-)
+RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])

@@ -1,17 +1,16 @@
 """Shift graphs: construction, witnesses, acyclicity, contraction, export."""
 
-import itertools
 import json
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import RP2_FACETS
 from shiftlab import (
     Backend,
     ContractedShiftGraph,
     InputFormatError,
     MathPreconditionError,
-    Permutation,
     ShiftGraph,
     UniformHypergraph,
     all_permutations,
@@ -23,7 +22,6 @@ from shiftlab import (
     full_shift,
     is_acyclic,
     is_shifted,
-    k_subsets,
     make_field_context,
     parse_graph_json,
     partial_shift,
@@ -326,6 +324,8 @@ def test_node_cap_and_parameter_validation():
         '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0, "dst": 1, "witnesses": [[2, 3, 1, 4.0]]}]}',
         '{"n": 4, "k": 2, "m": 1, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0, "dst": 1, "witnesses": [[2, 3, 1, "4"]]}]}',
         '{"n": 4, "k": 2, "m": 1, "contracted": true, "nodes": [[[1, 2]], [[1, 3]]], "edges": [{"src": 0.9, "dst": 1}]}',
+        # past Python's digit limit json.loads raises a plain ValueError
+        pytest.param('{"n": 4, "k": 2, "m": 1, "nodes": [[[1, %s]]], "edges": []}' % ("9" * 5000), id="digit-limit"),
     ],
 )
 def test_parse_graph_json_rejects_malformed_input(text):
@@ -340,14 +340,7 @@ def test_symbolic_and_randomized_graphs_agree():
     assert export_json(g_sym) == export_json(g_rnd)
 
 
-RP2_TOP = UniformHypergraph.from_edges(
-    6,
-    3,
-    [
-        [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 5], [1, 4, 6],
-        [2, 3, 4], [2, 3, 6], [2, 4, 5], [3, 5, 6], [4, 5, 6],
-    ],
-)
+RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
 
 
 def test_symbolic_and_randomized_node_expansion_agree_on_rp2_top_layer():

@@ -7,12 +7,12 @@ from math import factorial
 import pytest
 
 from conftest import int_matmul, rng
+from lemmas import inversions_of_product
 from shiftlab import (
     InputFormatError,
     MathPreconditionError,
     Permutation,
     all_permutations,
-    inversions_of_product,
     parse_permutation,
     weak_order_geq,
 )

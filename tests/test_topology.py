@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from conftest import frac_pivots, frac_rank, frac_rank_mod, rng
+from conftest import RP2_FACETS, frac_pivots, frac_rank, frac_rank_mod, rng
+from lemmas import identity_matrix
 from shiftlab import (
     Backend,
     BettiVector,
@@ -26,7 +27,6 @@ from shiftlab import (
     conjecture_scan,
     exterior_shift,
     generic_matrix,
-    identity_matrix,
     is_near_cone,
     is_shifted,
     make_field_context,
@@ -47,12 +47,6 @@ from shiftlab.topology import ComplexScanResult, GraphScanResult
 RND = make_field_context(0, Backend.RANDOMIZED, seed=0)
 RND2 = make_field_context(2, Backend.RANDOMIZED, seed=0)
 SYM = make_field_context(0, Backend.SYMBOLIC)
-
-# the six-vertex triangulation of the real projective plane
-RP2_FACETS = [
-    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 6),
-    (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 5, 6), (4, 5, 6),
-]
 
 
 def _rp2():
