@@ -1166,17 +1166,23 @@ class ProfileState:
     pivot is that of the dense update.
 
     Over a field it is Gauss-Jordan elimination against sparse pivots
-    ``(pivot row, rows, values)``: normalized to 1 at its pivot row, a pivot
-    column is zero at every earlier row, so it is stored as the later rows
-    where it is nonzero and its entries there, and eliminating it touches
-    only those rows; a pivot with no later nonzero row stores nothing and
-    is never inverted.  Over GF(p) entries are plain ints and a row update
-    is ``c[i] -= f * v``, with no ``%`` and no method call: k updates move an
+    ``(pivot row, rows, values)``: a pivot column is zero at every earlier
+    row, so it is stored as the later rows where it is nonzero and its
+    entries there, and eliminating it touches only those rows.  It is
+    stacked unnormalized, its values led by its entry at the pivot row.
+    The first offer that applies it with a nonzero factor pops that
+    leading value, inverts it and scales the rest in place, so the
+    pivot is normalized to 1 at most once, for every twin that shares it.
+    A pivot that no later offer applies is never inverted, and one with no
+    later nonzero row stores nothing.
+
+    Over GF(p) entries are plain ints and a row update is
+    ``c[i] -= f * v``, with no ``%`` and no method call: k updates move an
     entry by less than k * p**2, a few machine words, which is cheaper than
     reducing each time.  Live entries stay congruent mod p to the residues
     they stand for, and are reduced only where read: as a pivot's factor
-    ``f``, when tested for a pivot, or when stored as a value in [1, p).
-    Zero tests are exact in every case.
+    ``f``, when tested for a pivot, or when stored or normalized as a value
+    in [1, p).  Zero tests are exact in every case.
     """
 
     # many states are alive while all the cells of a family are shifted, so
@@ -1202,10 +1208,11 @@ class ProfileState:
     def copy(self, rank: int | None = None) -> "ProfileState":
         """An independent state with the first ``rank`` pivots (default all).
 
-        Offers never mutate a pivot once it is stacked, and each pivot is
+        Offers change a stacked pivot only by normalizing it in place, which
+        keeps the column it stands for up to a unit, and each pivot is
         eliminated against the earlier ones only, so the first ``rank``
-        pivots are the state those offers left.  The twin shares the pivots
-        and costs one list copy.
+        pivots are the state those offers left.  The twin shares the pivots,
+        normalized or not, and costs one list copy.
         """
         twin = ProfileState.__new__(ProfileState)
         twin.dom, twin.m, twin._p = self.dom, self.m, self._p
@@ -1274,6 +1281,9 @@ class ProfileState:
             for pr, rows, vals in self._stack:
                 f = c[pr] % p
                 if f:
+                    if len(vals) > len(rows):
+                        inv = pow(vals.pop(0), -1, p)
+                        vals[:] = [v * inv % p for v in vals]
                     for i, v in zip(rows, vals):
                         c[i] -= f * v
                     c[pr] = 0
@@ -1282,13 +1292,15 @@ class ProfileState:
                 return False
             pr, rows, vals = nonzero[0], nonzero[1:], []
             if rows:
-                inv = pow(c[pr], -1, p)
-                vals = [c[i] * inv % p for i in rows]
+                vals = [c[i] % p for i in nonzero]
         else:
             sub, mul, is_zero = dom.sub, dom.mul, dom.is_zero
             for pr, rows, vals in self._stack:
                 f = c[pr]
                 if not is_zero(f):
+                    if len(vals) > len(rows):
+                        inv = dom.inv(vals.pop(0))
+                        vals[:] = [mul(v, inv) for v in vals]
                     for i, v in zip(rows, vals):
                         c[i] = sub(c[i], mul(f, v))
                     c[pr] = dom.zero
@@ -1297,8 +1309,7 @@ class ProfileState:
                 return False
             pr, rows, vals = nonzero[0], nonzero[1:], []
             if rows:
-                inv = dom.inv(c[pr])
-                vals = [mul(c[i], inv) for i in rows]
+                vals = [c[i] for i in nonzero]
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # short length for reuse, so tuple pivots raised the peak memory
         self._stack.append((pr, rows, vals))
@@ -1319,8 +1330,8 @@ def lex_first_bases(
     A decision depends only on (kept set, column), so it is memoized per
     kept set, a bitmask of column indices: the state that eliminated the
     set, and a bitmask of the columns found to depend on it.  An accepted
-    offer grows a state in place; since offers never change the pivots
-    stacked before them, the state stays valid for every smaller kept set
+    offer grows a state in place; since offers change no stacked pivot but
+    to normalize it, the state stays valid for every smaller kept set
     on its way as a prefix of its pivots.  Only where a later order branches
     off such a set is the state copied, cut to that prefix.
     """

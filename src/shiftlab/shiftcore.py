@@ -285,38 +285,55 @@ def evaluate_matrix(g: GenericMatrix, point: EvalPoint) -> list[list]:
 # ------------------------------------------------------------- compounds
 
 
-def _wedge_rows(matrix_rows: Sequence[Sequence], edge: KSubset, n: int, domain):
-    """Coefficients of the wedge of the rows indexed by ``edge``.
+def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[KSubset], domain):
+    """Coefficients of the wedge of the rows indexed by each edge.
 
     Dynamic programming over subsets: wedge in one row at a time, tracking
     a map from t-subset bitmask to coefficient.  The coefficient at mask
     tau ends up being the minor with rows ``edge`` (ascending) and columns
-    tau (ascending), so one pass yields a whole compound row.
+    tau (ascending), so one pass yields a whole compound row.  Each row's
+    nonzero entries are listed once per matrix, and a step walks only
+    those.  An edge that shares a prefix with the edge before it starts
+    from that prefix's partial wedge, so a layer in lex order wedges in
+    each prefix once.  The steps and their order are those of a separate
+    pass per edge, so every coefficient is the same.
     """
-    state = {0: domain.one}
-    for v in edge.elements():
-        row = matrix_rows[v - 1]
-        nxt: dict[int, object] = {}
-        for mask, coeff in state.items():
-            if domain.is_zero(coeff):
-                continue
-            for j in range(1, n + 1):
-                bit = 1 << (j - 1)
-                if mask & bit:
+    is_zero, mul, neg, add = domain.is_zero, domain.mul, domain.neg, domain.add
+    # (column bit, shift to the columns after it, entry)
+    support = [
+        [(1 << j, j + 1, entry) for j, entry in enumerate(row) if not is_zero(entry)]
+        for row in matrix_rows
+    ]
+    # states[t] is the wedge of the first t rows of the edge before
+    states = [{0: domain.one}]
+    before: tuple[int, ...] = ()
+    out = []
+    for edge in edges:
+        elements = edge.elements()
+        t = 0
+        while t < len(before) and before[t] == elements[t]:
+            t += 1
+        del states[t + 1 :]
+        for v in elements[t:]:
+            nxt: dict[int, object] = {}
+            for mask, coeff in states[-1].items():
+                if is_zero(coeff):
                     continue
-                entry = row[j - 1]
-                if domain.is_zero(entry):
-                    continue
-                term = domain.mul(coeff, entry)
-                if (mask >> j).bit_count() & 1:
-                    term = domain.neg(term)
-                new_mask = mask | bit
-                if new_mask in nxt:
-                    nxt[new_mask] = domain.add(nxt[new_mask], term)
-                else:
-                    nxt[new_mask] = term
-        state = nxt
-    return state
+                for bit, shift, entry in support[v - 1]:
+                    if mask & bit:
+                        continue
+                    term = mul(coeff, entry)
+                    if (mask >> shift).bit_count() & 1:
+                        term = neg(term)
+                    new_mask = mask | bit
+                    if new_mask in nxt:
+                        nxt[new_mask] = add(nxt[new_mask], term)
+                    else:
+                        nxt[new_mask] = term
+            states.append(nxt)
+        before = elements
+        out.append(states[-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,12 +357,10 @@ def compound_rows(g: GenericMatrix, S: UniformHypergraph) -> CompoundSubmatrix:
     dom = PolynomialRing(0, g.variables, S.k * max(1, g.degree_bound))
     entries = [[dom.pack(e) for e in row] for row in g.entries]
     columns = k_subsets(S.n, S.k)
-    rows = []
-    for edge in S.edges:
-        state = _wedge_rows(entries, edge, S.n, dom)
-        rows.append(
-            tuple(dom.unpack(state.get(col.bits, dom.zero)) for col in columns)
-        )
+    rows = [
+        tuple(dom.unpack(state.get(col.bits, dom.zero)) for col in columns)
+        for state in _wedge_rows(entries, S.edges, dom)
+    ]
     return CompoundSubmatrix(source=S, columns=columns, rows=tuple(rows))
 
 
@@ -452,7 +467,7 @@ def _lex_order(n: int, k: int) -> tuple[range]:
 def _shift_families(
     g: GenericMatrix,
     layers: Sequence[UniformHypergraph],
-    tag: str,
+    tag: str | None,
     ctx: FieldContext,
     column_orders,
 ) -> list[list[UniformHypergraph] | None]:
@@ -466,7 +481,8 @@ def _shift_families(
     built.  Only if some layer is left is g made concrete, once: packed into
     the polynomial ring of ``_symbolic_ring`` and checked for invertibility
     on the symbolic backend, or evaluated at one point for the call ``tag``
-    with the budget summed over all layers on the randomized backend.  Each
+    with the budget summed over all layers on the randomized backend, the
+    only reader of ``tag`` (the symbolic backend may pass None).  Each
     remaining layer must then keep one column per edge in every order.
     """
     if any(S.n != g.n for S in layers):
@@ -495,7 +511,7 @@ def _shift_families(
             out.append(None)
             continue
         columns = k_subsets(S.n, S.k)
-        wedges = [_wedge_rows(entries, edge, S.n, dom) for edge in S.edges]
+        wedges = _wedge_rows(entries, S.edges, dom)
         matrix = [[row.get(col.bits, zero) for row in wedges] for col in columns]
         families: dict[int, UniformHypergraph] = {}
         shifted = []
@@ -522,7 +538,10 @@ def exterior_shift_profile(
     column; the shifted hypergraph collects the columns where it steps, so
     the sequence is read off the shifted family's edges.
     """
-    tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
+    # only a sampled point reads the tag; the symbolic backend skips the hash
+    tag = None
+    if ctx.backend is not Backend.SYMBOLIC:
+        tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
     (families,) = _shift_families(g, [S], tag, ctx, _lex_order)
     shifted = S if families is None else families[0]
     edges = shifted.edge_bits()
@@ -533,13 +552,14 @@ def exterior_shift_profile(
 def shift_layers(
     g: GenericMatrix,
     layers: Sequence[UniformHypergraph],
-    tag: str,
+    tag: str | None,
     ctx: FieldContext,
 ) -> list[UniformHypergraph]:
     """Shift several families by the same matrix g.
 
     g is made concrete once for all layers; randomized runs draw one point
-    for the call ``tag`` with the budget summed over all layers.
+    for the call ``tag`` with the budget summed over all layers, and
+    symbolic runs never read ``tag``.
     """
     families = _shift_families(g, layers, tag, ctx, _lex_order)
     return [S if f is None else f[0] for S, f in zip(layers, families)]
@@ -646,10 +666,16 @@ def all_partial_shifts(
     orders in place of the lex order, and every greedy decision is memoized
     across them (see ``field.lex_first_bases``).  The cell orders of an
     (n, k) come from ``_cell_column_orders``, which keeps them across calls,
-    and are built only for layers that do not shift to themselves.  Each
-    distinct shifted family is one object, shared by every cell that yields
-    it.  The symbolic backend shifts cell by cell with ``shift_layers`` and
-    stays the independent oracle.
+    and are built only for layers that do not shift to themselves.  The
+    symbolic backend shifts cell by cell with ``shift_layers`` and stays the
+    independent oracle.
+
+    On both backends, within one call, equal shifted families of a layer
+    are one object, shared by every cell that yields them; an empty or
+    complete layer is the input object itself.  ``shift_complex_all_cells``
+    and ``shiftgraph._shift_edges_of`` group cells by these identities, so
+    a fresh family per cell would cost them a comparison and a complex per
+    cell.
     """
     if not layers:
         raise MathPreconditionError("all_partial_shifts needs at least one layer")
@@ -659,9 +685,13 @@ def all_partial_shifts(
     perms = list(all_permutations(n))
     tag = f"all_cells:{n}:{[(S.k, tuple(e.bits for e in S.edges)) for S in layers]!r}"
     if ctx.backend is Backend.SYMBOLIC:
-        return {
-            w: shift_layers(cell_representative(w), layers, tag, ctx) for w in perms
-        }
+        # per layer, the first object of each distinct family stands for it
+        firsts = [{} for _ in layers]
+        out = {}
+        for w in perms:
+            shifted = shift_layers(cell_representative(w), layers, tag, ctx)
+            out[w] = [first.setdefault(T, T) for first, T in zip(firsts, shifted)]
+        return out
     families = _shift_families(
         generic_unipotent(n), layers, tag, ctx, _cell_column_orders
     )

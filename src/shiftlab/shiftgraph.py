@@ -127,12 +127,20 @@ class ContractedShiftGraph(_Graph):
 
 
 def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
-    """All (target, witness) pairs with target different from S."""
-    out: dict[UniformHypergraph, list[Permutation]] = {}
+    """All (target, witness) pairs with target different from S.
+
+    ``all_partial_shifts`` returns one object per distinct shifted family,
+    so the cells are grouped by that object's identity, and each target is
+    compared with S and hashed once, not once per cell.  Targets come in
+    the order of their first witness.
+    """
+    groups: dict[int, tuple[UniformHypergraph, list[Permutation]]] = {}
     for w, (T,) in all_partial_shifts((S,), ctx).items():
-        if T != S:
-            out.setdefault(T, []).append(w)
-    return out
+        group = groups.get(id(T))
+        if group is None:
+            group = groups[id(T)] = (T, [])
+        group[1].append(w)
+    return {T: witnesses for T, witnesses in groups.values() if T != S}
 
 
 def _map_shift_edges(

@@ -35,6 +35,7 @@ from .errors import (
     NotClosedError,
 )
 from .field import (
+    Backend,
     Characteristic,
     DeterministicStream,
     FieldContext,
@@ -222,7 +223,10 @@ def shift_complex_by_matrix(
         raise MathPreconditionError("matrix size must match the complex")
     if K.dim < 0:
         return K
-    tag = f"shift_complex:{g.fingerprint}:{K.n}:{tuple(sorted(K.faces))!r}"
+    # only a sampled point reads the tag; the symbolic backend skips the hash
+    tag = None
+    if ctx.backend is not Backend.SYMBOLIC:
+        tag = f"shift_complex:{g.fingerprint}:{K.n}:{tuple(sorted(K.faces))!r}"
     return _reassemble(K, shift_layers(g, K.layers(), tag, ctx))
 
 
@@ -243,21 +247,28 @@ def shift_complex_all_cells(
     """Layer-wise partial shift of K by every permutation, in enumeration order.
 
     One call of ``all_partial_shifts`` shifts every layer by every cell, so
-    a randomized run draws one point for the whole complex.  Each distinct
-    tuple of shifted layers is reassembled and checked once, and the cells
-    that share it share the complex.  Layers that did not move, among them
-    the identity's, give K itself.
+    a randomized run draws one point for the whole complex.  That call
+    returns one object per distinct shifted family of a layer, so the cells
+    are grouped by the identities of their shifted layers, with no hashing
+    of families.  Each group is compared with K's layers once: the layers
+    that did not move, among them the identity's, give K itself, and any
+    other group is reassembled and checked once, its cells sharing the
+    complex.
     """
     if K.dim < 0:
         return {w: K for w in all_permutations(K.n)}
     layers = K.layers()
-    images = {tuple(layers): K}
+    images: dict[tuple[int, ...], SimplicialComplex] = {}
     out = {}
     for w, shifted in all_partial_shifts(layers, ctx).items():
-        key = tuple(shifted)
-        if key not in images:
-            images[key] = _reassemble(K, shifted)
-        out[w] = images[key]
+        # a list, not a generator: a tuple grown from a generator is resized,
+        # and the resized tuples pile up on CPython's free list
+        key = tuple([id(T) for T in shifted])
+        image = images.get(key)
+        if image is None:
+            image = K if shifted == layers else _reassemble(K, shifted)
+            images[key] = image
+        out[w] = image
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through cli.main."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -486,6 +487,25 @@ def test_scan_reports_no_violations(rp2_file, capsys):
         {"n": 3, "k": 2, "m": 2, "nodes": 1, "edges": 0, "acyclic": True, "cycle": []}
     ]
     assert payload["complexes"][0]["betti"] == [1, 0, 0]
+
+
+# sha256 of stdout of `scan rp2.json --random 10 --graph 4,2,2 --seed 201`
+SCAN_GOLDEN_SHA256 = {
+    "0": "6fce8ff25299e950f63f2ffe6aa6a81a066110cbc704c40aba9884ba2ffad3c2",
+    "2": "fd475d0d6525c3fb482e4fe2c4ddbc11eedfcf3fc5d22676447526867cf63d10",
+    "3": "01b78269efd44f9a1ea54b7f74da02ef8b25c2c8b0c20e3da17d59ce4880ee30",
+}
+
+
+@pytest.mark.parametrize("char", sorted(SCAN_GOLDEN_SHA256))
+def test_scan_output_matches_its_golden_bytes(rp2_file, capsys, char):
+    # every complex's 720 cells, the Betti ranks and one contracted graph;
+    # any change to a sampled point, a decision or the output format shows
+    out = run_ok(
+        capsys, "scan", rp2_file, "--random", "10", "--graph", "4,2,2",
+        "--seed", "201", "--char", char,
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN_SHA256[char]
 
 
 def test_scan_seed_env_override(rp2_file, capsys, monkeypatch):

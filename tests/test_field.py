@@ -680,11 +680,87 @@ def test_gauss_inverts_only_pivots_with_later_rows(monkeypatch, name):
             return inv(dom, a)
 
         monkeypatch.setattr(BinaryExtensionField, "inv", counting_inv)
-    # the last pivot, at row 2, has no later nonzero row
+    # pivots are stacked unnormalized: three offers invert nothing
     state = ProfileState(fld, 3)
     assert state.offer([2, 3, 1]) and state.offer([0, 1, 4]) and state.offer([0, 0, 5])
-    assert inverses == [2, 1]
+    assert inverses == []
+    # the last pivot, at row 2, has no later nonzero row and stores nothing
     assert state.pivot_rows == [0, 1, 2] and state._stack[-1] == (2, [], [])
+    # a twin applying the row-0 pivot inverts its value 2 once, and the
+    # state it shares the pivot with sees it normalized
+    twin = state.copy(1)
+    assert twin.offer([1, 0, 0])
+    assert inverses == [2]
+    (_, rows, vals), (_, *shared) = twin._stack[0], state._stack[0]
+    assert rows == [1, 2] and len(vals) == 2 and shared == [rows, vals]
+    # applying it again, to a multiple of its column, inverts nothing more,
+    # and the pivots at rows 1 and 2 were never inverted
+    assert not twin.offer([fld.mul(3, x) for x in [2, 3, 1]])
+    assert not state.copy(1).offer([fld.mul(3, x) for x in [2, 3, 1]])
+    assert inverses == [2]
+
+
+def _dense_pivots(rows, domain):
+    """Left-to-right pivot columns by eager Gauss-Jordan over ``domain``."""
+    mat = [list(row) for row in rows]
+    rank, pivots = 0, []
+    for j in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if not domain.is_zero(mat[i][j])), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = domain.inv(mat[rank][j])
+        mat[rank] = [domain.mul(x, inv) for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and not domain.is_zero(mat[i][j]):
+                f = mat[i][j]
+                mat[i] = [domain.sub(x, domain.mul(f, y)) for x, y in zip(mat[i], mat[rank])]
+        pivots.append(j)
+        rank += 1
+    return pivots
+
+
+@pytest.mark.parametrize("name", ["7", "mersenne61", "gf2e", "gf3e"])
+def test_twins_share_a_pivot_that_one_of_them_normalizes(monkeypatch, name):
+    # lex_first_bases cuts states to a prefix where an order branches off;
+    # a pivot still unnormalized there is shared, and whichever twin applies
+    # it first normalizes it for both
+    fld = FINITE_FIELDS[name]
+    shared, copy = [], ProfileState.copy
+
+    def spy(state, rank=None):
+        twin = copy(state, rank)
+        shared.extend(pivot for pivot in twin._stack if len(pivot[2]) > len(pivot[1]))
+        return twin
+
+    monkeypatch.setattr(ProfileState, "copy", spy)
+    gen = rng(f"lazy-pivots-{name}")
+    for _ in range(40):
+        nrows, ncols = gen.randint(2, 6), gen.randint(4, 12)
+        density = gen.choice([0.25, 0.5, 0.75])
+        rows = [
+            [
+                fld.sample(gen.randrange(1, fld.size)) if gen.random() < density else fld.zero
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        # two columns depend on others, so that decisions hinge on exact zeros
+        for target in gen.sample(range(ncols), 2):
+            x, y = gen.sample(range(ncols), 2)
+            a, b = (fld.sample(gen.randrange(1, fld.size)) for _ in range(2))
+            for row in rows:
+                row[target] = fld.add(fld.mul(a, row[x]), fld.mul(b, row[y]))
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        orders = _shuffled_orders(gen, ncols, 8)
+        for order, kept in zip(orders, lex_first_bases(columns, nrows, fld, orders)):
+            reordered = [[row[j] for j in order] for row in rows]
+            want = _dense_pivots(reordered, fld)
+            if isinstance(fld, PrimeField):
+                assert frac_pivots_mod(reordered, fld.p)[1] == want
+            assert [t for t in range(ncols) if kept >> t & 1] == want
+    # some pivot was shared unnormalized and normalized later
+    assert any(len(vals) == len(rows) for _, rows, vals in shared)
 
 
 @pytest.mark.parametrize(

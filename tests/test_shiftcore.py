@@ -147,6 +147,41 @@ def test_compound_functoriality_at_points():
             assert direct == expanded
 
 
+def test_wedge_rows_share_prefixes_and_skip_zero_entries():
+    products = []
+
+    class Counting(PrimeField):
+        def mul(self, a, b):
+            products.append((a, b))
+            return super().mul(a, b)
+
+    dom = Counting(101)
+    gen = rng("wedge-rows")
+    together = alone = 0
+    for _ in range(30):
+        n = gen.randint(2, 6)
+        k = gen.randint(1, min(4, n))
+        mat = [[gen.randrange(101) if gen.random() < 0.6 else 0 for _ in range(n)]
+               for _ in range(n)]
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        S = _hg(n, k, gen.sample(subsets, min(5, len(subsets))))
+        del products[:]
+        wedges = shiftcore._wedge_rows(mat, S.edges, dom)
+        together += len(products)
+        # only nonzero entries and coefficients are multiplied
+        assert all(a % 101 and b % 101 for a, b in products)
+        del products[:]
+        assert wedges == [shiftcore._wedge_rows(mat, [e], dom)[0] for e in S.edges]
+        alone += len(products)
+        for edge, wedge in zip(S.edges, wedges):
+            rows = [i - 1 for i in edge.elements()]
+            for col in k_subsets(n, k):
+                minor = frac_minor(mat, rows, [j - 1 for j in col.elements()])
+                assert wedge.get(col.bits, 0) % 101 == minor % 101
+    # edges of a layer in lex order wedge each shared prefix once
+    assert together < alone
+
+
 # --------------------------------------------------------- basic shifts
 
 
@@ -663,6 +698,48 @@ def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
     last = [2, 3, 4] if char == 2 else [1, 5, 6]
     first_nine = [list(e.elements()) for e in k_subsets(6, 3)[:9]]
     assert shifted.edge_lists() == first_nine + [last]
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_all_partial_shifts_share_one_object_per_family(char):
+    # shift_complex_all_cells and shiftgraph._shift_edges_of group cells by
+    # the identity of their shifted families; a fresh family per cell fails
+    rnd = make_field_context(char, Backend.RANDOMIZED, seed=201)
+    rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
+    (small,) = random_complexes(1, n=5, dim=2, seed=201)
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    for K, ctx in [(rp2, rnd), (small, rnd), (small, sym)]:
+        layers = K.layers()
+        shifts = all_partial_shifts(layers, ctx)
+        moved = 0
+        for i, S in enumerate(layers):
+            images = [shifted[i] for shifted in shifts.values()]
+            assert len({id(T) for T in images}) == len(set(images))
+            moved += len(set(images)) > 1
+            if S.m in (0, len(k_subsets(S.n, S.k))):
+                assert all(T is S for T in images)
+        assert moved >= 1
+    images = shift_complex_all_cells(rp2, rnd)
+    assert len({id(L) for L in images.values()}) == len(set(images.values()))
+    assert images[Permutation.identity(6)] is rp2
+
+
+def test_symbolic_shifts_never_hash_the_matrix(monkeypatch):
+    # only a sampled point reads the call tag, and with it the sha256
+    # fingerprint of the matrix
+    hashed, fingerprint = [], shiftcore.GenericMatrix.fingerprint
+    monkeypatch.setattr(
+        shiftcore.GenericMatrix,
+        "fingerprint",
+        property(lambda g: hashed.append(g) or fingerprint.func(g)),
+    )
+    shiftcore._partial_shift_cached.cache_clear()
+    S, w = _hg(4, 2, [[1, 2], [2, 3], [3, 4]]), Permutation((3, 4, 1, 2))
+    K = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
+    assert partial_shift(S, w, SYM) == partial_shift(S, w, RND)
+    assert len(hashed) == 1
+    assert shift_complex(K, w, SYM2) == shift_complex(K, w, RND2)
+    assert len(hashed) == 2
 
 
 def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
