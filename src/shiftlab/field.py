@@ -19,10 +19,10 @@ Randomized runs derive every sample from a SHA-256 counter stream keyed by
 independent of call order.  The modulus of GF(p^e) is the first candidate
 from a seeded stream that passes Ben-Or's irreducibility test, run in the
 candidate's own ring GF(p)[x]/(f) with the multiply of the field it would
-define.  GF(2^e) works on packed ints with no bit-serial loop: a product is
-reduced one top byte at a time through a per-field table of multiples of
-the modulus, and an inverse is one extended Euclid that updates the
-remainder and its cofactor in the same shift-and-XOR step.
+define.  GF(2^e) keeps one coefficient per slot of an int, a byte or two
+wide, so a product is three integer multiplies with Barrett's reduction,
+and an inverse is one extended Euclid that updates the remainder and its
+cofactor in the same shift-and-XOR step.
 
 All scalars are plain Python data (ints, tuples of ints); each concrete
 domain is a small object bundling the ring operations for them.
@@ -216,14 +216,24 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-# bin() digits to bytes 0/1, and a product byte to the digit of its low bit
+# bin() digits to byte values 0/1, and back to digits for int(..., 2)
 _SPREAD = bytes.maketrans(b"01", b"\x00\x01")
-_PARITY = bytes(48 + (v & 1) for v in range(256))
-_CHUNK_MASK = (1 << 255) - 1
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class BinaryExtensionField:
-    """GF(2^e) with elements packed into ints, bit t holding the x^t coefficient."""
+    """GF(2^e); the x^t coefficient of an element is the low bit of its slot t.
+
+    A slot is W = 8w bits, w the fewest bytes with 2^W > e + 1: one byte up
+    to e = 254.  ``pack`` and ``unpack`` convert from and to the bit string,
+    bit t for x^t, in which ``modulus`` is given.  Slot t of the integer
+    product of two elements counts the pairs i + j = t of coefficients 1,
+    at most e < 2^W, so no slot carries, and its low bit is the product in
+    GF(2)[x].  Barrett's reduction (CRYPTO 1986) is exact in GF(2)[x]: with
+    mu = floor(x^(2e) / m), the quotient of c by m is floor(floor(c / x^e)
+    * mu / x^e) for deg c < 2e, and those two products count at most e
+    pairs per slot too.
+    """
 
     is_field = True
     characteristic = 2
@@ -237,7 +247,32 @@ class BinaryExtensionField:
         self.modulus = modulus
         self.zero = 0
         self.one = 1
-        self._fold: list[int] | None = None
+        self._slot_bytes = w = ((e + 1).bit_length() + 7) // 8
+        self._shift = 8 * w * e
+        mu, r = 0, 1 << 2 * e  # floor(x^(2e) / m) by long division
+        while r.bit_length() > e:
+            s = r.bit_length() - 1 - e
+            mu, r = mu | 1 << s, r ^ modulus << s
+        self._mu = self.pack(mu)
+        self._m = self.pack(modulus)
+        self._lsb_e = self.pack((1 << e) - 1)
+        self._lsb = self.pack((1 << 2 * e) - 1)
+
+    def pack(self, bits: int) -> int:
+        """The element whose x^t coefficient is bit t of ``bits``."""
+        w = self._slot_bytes
+        digits = bin(bits)[2:].encode().translate(_SPREAD)
+        slots = bytearray(w * len(digits))
+        slots[w - 1 :: w] = digits
+        return int.from_bytes(slots, "big")
+
+    # the index of a seeded draw is the bit string of its element
+    sample = pack
+
+    def unpack(self, a: int) -> int:
+        """The bit string of the element a, bit t holding its x^t coefficient."""
+        w = self._slot_bytes
+        return int(a.to_bytes(w * self.e, "big")[w - 1 :: w].translate(_DIGITS), 2)
 
     def add(self, a, b):
         return a ^ b
@@ -253,57 +288,20 @@ class BinaryExtensionField:
         return a == 0
 
     def mul(self, a, b):
-        if not a or not b:
-            return 0
-        # Carry-less product by one integer multiply: spread each bit into a
-        # byte, multiply, keep the low bit of every byte.  A byte sums at most
-        # min(bit lengths) ones, so the shorter operand goes in 255-bit chunks.
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-        wide = int.from_bytes(bin(a)[2:].encode().translate(_SPREAD), "big")
-        r = shift = 0
-        while b:
-            chunk = b & _CHUNK_MASK
-            spread = int.from_bytes(bin(chunk)[2:].encode().translate(_SPREAD), "big")
-            size = a.bit_length() + chunk.bit_length()
-            r ^= int((wide * spread).to_bytes(size, "big").translate(_PARITY), 2) << shift
-            b >>= 255
-            shift += 255
-        # Clear the top byte above degree e - 1 per step: fold[b] is the
-        # multiple of the modulus whose bits e..e+7 spell b.
-        e = self.e
-        rl = r.bit_length()
-        if rl > e:
-            fold = self._fold or self._fold_table()
-            while rl > e:
-                s = rl - 8 if rl - 8 > e else e
-                r ^= fold[r >> s] << (s - e)
-                rl = r.bit_length()
-        return r
-
-    def _fold_table(self) -> list[int]:
-        """``fold[b] = b*x^e + (b*x^e mod m)`` for every byte b, built on first use."""
-        m, e = self.modulus, self.e
-        # fold is GF(2)-linear in b, so fold[b | 1 << k] = fold[b] ^ g for
-        # b < 1 << k, where g = fold[1 << k] is m times x^k plus lower terms
-        fold, g = [0], m
-        for _ in range(8):
-            fold += [f ^ g for f in fold]
-            g <<= 1
-            if g >> e & 1:
-                g ^= m
-        self._fold = fold
-        return fold
+        lsb, s = self._lsb, self._shift
+        c = a * b & lsb
+        q = ((c >> s) * self._mu >> s) & lsb
+        return (c + q * self._m) & self._lsb_e
 
     def inv(self, a):
         if a == 0:
             raise MathPreconditionError("division by zero in GF(2^e)")
-        # Extended Euclid in GF(2)[x] on packed polynomials, one shift-and-XOR
-        # step at a time on the remainder u and its cofactor g (g * a = u mod
-        # m, and likewise h * a = v).  deg g + deg v and deg h + deg u stay at
+        # Extended Euclid in GF(2)[x] on bit strings, one shift-and-XOR step
+        # at a time on the remainder u and its cofactor g (g * a = u mod m,
+        # and likewise h * a = v).  deg g + deg v and deg h + deg u stay at
         # most e, and v, the modulus or a former u, is never 0 or 1, so g
         # ends reduced, below degree e.
-        u, v, g, h = a, self.modulus, 1, 0
+        u, v, g, h = self.unpack(a), self.modulus, 1, 0
         du, dv = u.bit_length(), v.bit_length()
         while du > 1:
             j = du - dv
@@ -314,7 +312,7 @@ class BinaryExtensionField:
             du = u.bit_length()
         if u != 1:
             raise InternalError("modulus of GF(2^e) is not irreducible")
-        return g
+        return self.pack(g)
 
     def exact_div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -322,10 +320,6 @@ class BinaryExtensionField:
     @staticmethod
     def from_int(c):
         return c & 1
-
-    @staticmethod
-    def sample(index: int):
-        return index
 
     def __repr__(self) -> str:
         return f"GF(2^{self.e})"
@@ -510,7 +504,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     for _ in range(e // 2):
         y = _domain_pow(ring, y, p)
         if p == 2:
-            if _gf2_poly_gcd(ring.modulus, y ^ x) != 1:
+            if _gf2_poly_gcd(ring.modulus, ring.unpack(y ^ x)) != 1:
                 return False
         elif len(_gfp_poly_gcd(coeffs, _gfp_poly_sub(list(y), [0, 1], p), p)) != 1:
             return False
@@ -1220,7 +1214,7 @@ class ProfileState:
         return twin
 
     def offer(self, column: Sequence) -> bool:
-        if self.rank >= self.m:
+        if len(self._stack) >= self.m:
             return False
         c = list(column)
         if len(c) != self.m:
@@ -1348,7 +1342,7 @@ def lex_first_bases(
                 if dependent.get(kept, 0) >> j & 1:
                     continue
                 state = states[kept]
-                if state.rank > rank:
+                if len(state._stack) > rank:
                     state = states[kept] = state.copy(rank)
                 if not state.offer(columns[j]):
                     dependent[kept] = dependent.get(kept, 0) | 1 << j

@@ -607,10 +607,16 @@ def full_shift(S: UniformHypergraph, ctx: FieldContext) -> UniformHypergraph:
 
 
 @lru_cache(maxsize=16)
+def _permutations(n: int) -> tuple[Permutation, ...]:
+    """``all_permutations(n)``, shared by every family shifted by all n! cells."""
+    return tuple(all_permutations(n))
+
+
+@lru_cache(maxsize=16)
 def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The order in which every cell offers the columns of compound(U).
 
-    Row i belongs to the i-th permutation w of ``all_permutations(n)``.  Its
+    Row i belongs to the i-th permutation w of ``_permutations(n)``.  Its
     t-th entry is the lex index of w^-1 applied to the t-th k-subset: column
     t of compound(U . P_w) is that column of compound(U), up to sign.  The
     table depends on (n, k) alone, so the most recent 16 are kept for the
@@ -620,7 +626,7 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     index = {col.bits: i for i, col in enumerate(columns)}
     elements = [col.elements() for col in columns]
     table = []
-    for w in all_permutations(n):
+    for w in _permutations(n):
         preimage_bit = [0] * (n + 1)
         for i, image in enumerate(w.images):
             preimage_bit[image] = 1 << i
@@ -682,7 +688,7 @@ def all_partial_shifts(
     n = layers[0].n
     if any(S.n != n for S in layers):
         raise MathPreconditionError("layers live on different vertex sets")
-    perms = list(all_permutations(n))
+    perms = _permutations(n)
     tag = f"all_cells:{n}:{[(S.k, tuple(e.bits for e in S.edges)) for S in layers]!r}"
     if ctx.backend is Backend.SYMBOLIC:
         # per layer, the first object of each distinct family stands for it

@@ -77,10 +77,11 @@ def test_every_traced_call_site_resolves():
 
 def test_process_wide_caches_are_keyed_or_bounded():
     # results are computed per call, apart from a bounded window of recent
-    # partial shifts; the cell column orders per (n, k) are a bounded table,
-    # the Mersenne prime fields of characteristic 0 one per table entry, and
-    # only the k-subset lists, the extension fields per (p, e, seed) and the
-    # golden-data loaders live on without a bound
+    # partial shifts; the permutations per n and the cell column orders per
+    # (n, k) are bounded tables, the Mersenne prime fields of characteristic
+    # 0 one per table entry, and only the k-subset lists, the extension
+    # fields per (p, e, seed) and the golden-data loaders live on without a
+    # bound
     sizes = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -94,6 +95,7 @@ def test_process_wide_caches_are_keyed_or_bounded():
     bounded = {name: size for name, size in sizes.items() if size is not None}
     assert bounded == {
         "_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE,
+        "_permutations": 16,
         "_cell_column_orders": 16,
         "_mersenne_field": len(field.MERSENNE_EXPONENTS),
     }

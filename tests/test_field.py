@@ -194,48 +194,80 @@ def _gf2e_edge_and_random_elements(f, count):
     return [0, 1, 1 << (f.e - 1), f.size - 1] + [gen.randrange(f.size) for _ in range(count)]
 
 
+def _check_gf2e_against_oracle(f, elems):
+    """mul and inv on the packed ``elems`` (bit strings) against the oracle."""
+    for a in elems:
+        packed = f.pack(a)
+        assert f.unpack(packed) == a
+        for b in elems:
+            assert f.unpack(f.mul(packed, f.pack(b))) == gf2_mul_oracle(a, b, f.modulus)
+        if a:
+            inverse = f.inv(packed)
+            # inv does not reduce its cofactor, so it must come out reduced
+            assert f.unpack(inverse) < f.size
+            assert gf2_mul_oracle(a, f.unpack(inverse), f.modulus) == 1
+            assert f.mul(packed, inverse) == f.one
+
+
 @pytest.mark.parametrize("e", range(2, 65))
 def test_gf2e_mul_and_inv_match_bit_serial_oracle(e):
     f = gf_extension(2, 2**e)
     assert f.e == e
-    elems = _gf2e_edge_and_random_elements(f, 12)
-    for a in elems:
-        for b in elems:
-            assert f.mul(a, b) == gf2_mul_oracle(a, b, f.modulus)
-        if a:
-            assert gf2_mul_oracle(a, f.inv(a), f.modulus) == 1
-            # inv does not reduce its cofactor, so it must come out reduced
-            assert f.inv(a) < f.size and f.mul(a, f.inv(a)) == 1
+    _check_gf2e_against_oracle(f, _gf2e_edge_and_random_elements(f, 12))
 
 
 @pytest.mark.parametrize("e", [2, 7, 8, 9, 40])
-def test_gf2e_fold_table_clears_one_top_byte(e):
-    modulus = gf_extension(2, 2**e).modulus
+def test_gf2e_barrett_constant_is_the_quotient_of_x_to_the_2e(e):
+    f = gf_extension(2, 2**e)
+    slot = 8 * f._slot_bytes
+    mu = sum(1 << t for t in range(2 * e) if f._mu >> slot * t & 1)
+    assert f.pack(mu) == f._mu and f._m == f.pack(f.modulus)
+    # x^(2e) = mu * m + r with deg r < e, the carry-less product taken by
+    # the oracle modulo a power of x above its degree
+    assert mu.bit_length() == e + 1
+    assert (gf2_mul_oracle(mu, f.modulus, 1 << 2 * e + 1) ^ 1 << 2 * e).bit_length() <= e
+
+
+@pytest.mark.parametrize("e, k, slot_bytes", [(253, 46, 1), (255, 52, 2), (257, 12, 2)])
+def test_gf2e_mul_at_the_slot_width_boundary(e, k, slot_bytes):
+    # a slot of a product counts up to e coefficient pairs, and a slot is
+    # one byte up to e = 254; x^e + x^k + 1 is irreducible for these e
+    modulus = (1 << e) | (1 << k) | 1
+    assert _is_irreducible([int(c) for c in bin(modulus)[:1:-1]], 2)
     f = BinaryExtensionField(e, modulus)
-    # built on the first product that needs reducing, not before
-    assert f.mul(1 << (e - 1), 1) == 1 << (e - 1) and f._fold is None
-    assert f.mul(1 << (e - 1), 2) == gf2_mul_oracle(1 << (e - 1), 2, modulus)
-    fold = f._fold
-    assert len(fold) == 256
-    for b, entry in enumerate(fold):
-        # a multiple of the modulus whose bits e..e+7 are b and nothing above
-        assert gf2_mul_oracle(entry, 1, modulus) == 0
-        assert entry >> e == b
+    assert f._slot_bytes == slot_bytes
+    # the all-ones element squared fills the middle slot with e pairs
+    _check_gf2e_against_oracle(f, _gf2e_edge_and_random_elements(f, 4))
 
 
 def test_gf2e_mul_beyond_one_byte_slot():
-    # x^521 + x^32 + 1 is irreducible; operands of up to 521 bits exceed the
-    # 255 ones a product byte can count, so the multiply splits them
+    # x^521 + x^32 + 1 is irreducible; a product slot counts up to 521
+    # pairs, so its slots take two bytes
     modulus = (1 << 521) | (1 << 32) | 1
     assert _is_irreducible([int(c) for c in bin(modulus)[:1:-1]], 2)
     f = BinaryExtensionField(521, modulus)
+    assert f._slot_bytes == 2
     elems = _gf2e_edge_and_random_elements(f, 6) + [(1 << 255) - 1, 1 << 255, 1 << 300]
-    for a in elems:
-        for b in elems:
-            assert f.mul(a, b) == gf2_mul_oracle(a, b, modulus)
-        if a:
-            assert gf2_mul_oracle(a, f.inv(a), modulus) == 1
-            assert f.inv(a) < f.size and f.mul(a, f.inv(a)) == 1
+    _check_gf2e_against_oracle(f, elems)
+
+
+def test_gf2e_sample_packs_the_index_as_it_is():
+    # the encoding moved no point: sample(i) is the element whose bit
+    # string is i, and slot t holds the x^t coefficient in its lowest bit
+    f = gf_extension(2, 2**8)
+    assert [f.unpack(f.sample(i)) for i in range(f.size)] == list(range(f.size))
+    assert f.sample(0b1011) == 1 | 1 << 8 | 1 << 24 and f.sample(2) == 1 << 8
+    assert f.from_int(3) == f.one and f.sample(1) == f.one and f.sample(0) == f.zero
+
+
+def test_gf2e_eval_point_unpacks_to_the_stream_values():
+    ctx = make_field_context(2, Backend.RANDOMIZED, seed=201)
+    variables = [(2, 1), (1, 1), (1, 2), (2, 2)]
+    pt = sample_eval_point(ctx, variables, 2**40 + 1, 0, "tag")
+    assert pt.domain.e == 41 and pt.domain.modulus == _PINNED_GF2E[201][41]
+    stream = DeterministicStream("evalpoint", 201, 2, "tag", 0)
+    want = [stream.randbelow(2**41) for _ in variables]
+    assert [pt.domain.unpack(pt.assignment[v]) for v in sorted(variables)] == want
 
 
 # The moduli every seeded run samples from.  Ben-Or's test, like the Rabin
@@ -680,24 +712,28 @@ def test_gauss_inverts_only_pivots_with_later_rows(monkeypatch, name):
             return inv(dom, a)
 
         monkeypatch.setattr(BinaryExtensionField, "inv", counting_inv)
+    # the elements 0..5 are field.sample of their index: in GF(2^e) the
+    # index is the bit string, so 2 is the class of x
+    zero, one, two, three, four, five = map(fld.sample, range(6))
     # pivots are stacked unnormalized: three offers invert nothing
     state = ProfileState(fld, 3)
-    assert state.offer([2, 3, 1]) and state.offer([0, 1, 4]) and state.offer([0, 0, 5])
+    assert state.offer([two, three, one]) and state.offer([zero, one, four])
+    assert state.offer([zero, zero, five])
     assert inverses == []
     # the last pivot, at row 2, has no later nonzero row and stores nothing
     assert state.pivot_rows == [0, 1, 2] and state._stack[-1] == (2, [], [])
     # a twin applying the row-0 pivot inverts its value 2 once, and the
     # state it shares the pivot with sees it normalized
     twin = state.copy(1)
-    assert twin.offer([1, 0, 0])
-    assert inverses == [2]
+    assert twin.offer([one, zero, zero])
+    assert inverses == [two]
     (_, rows, vals), (_, *shared) = twin._stack[0], state._stack[0]
     assert rows == [1, 2] and len(vals) == 2 and shared == [rows, vals]
     # applying it again, to a multiple of its column, inverts nothing more,
     # and the pivots at rows 1 and 2 were never inverted
-    assert not twin.offer([fld.mul(3, x) for x in [2, 3, 1]])
-    assert not state.copy(1).offer([fld.mul(3, x) for x in [2, 3, 1]])
-    assert inverses == [2]
+    assert not twin.offer([fld.mul(three, x) for x in [two, three, one]])
+    assert not state.copy(1).offer([fld.mul(three, x) for x in [two, three, one]])
+    assert inverses == [two]
 
 
 def _dense_pivots(rows, domain):
@@ -767,9 +803,11 @@ def test_twins_share_a_pivot_that_one_of_them_normalizes(monkeypatch, name):
     "domain", [ZZ, PrimeField(7), PrimeField(2**61 - 1), gf_extension(2, 2**8)]
 )
 def test_profile_state_copy_is_independent(domain):
-    # a and b are independent in every domain here; 2 is the class of x in GF(2^e)
-    a, b = [1, 2, 3], [0, 1, 5]
-    twice_a = [domain.mul(2, x) for x in a]
+    # a and b are independent in every domain here; GF(2^e) packs the ints
+    # as bit strings, so 2 is the class of x there
+    lift = domain.pack if isinstance(domain, BinaryExtensionField) else int
+    a, b = [lift(x) for x in [1, 2, 3]], [lift(x) for x in [0, 1, 5]]
+    twice_a = [domain.mul(lift(2), x) for x in a]
     a_plus_b = [domain.add(x, y) for x, y in zip(a, b)]
     state = ProfileState(domain, 3)
     assert state.offer(a)
