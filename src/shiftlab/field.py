@@ -18,11 +18,14 @@ Randomized runs derive every sample from a SHA-256 counter stream keyed by
 (seed, call fingerprint, attempt), which makes results reproducible and
 independent of call order.  The modulus of GF(p^e) is the first candidate
 from a seeded stream that passes Ben-Or's irreducibility test, run in the
-candidate's own ring GF(p)[x]/(f) with the multiply of the field it would
-define.  GF(2^e) keeps one coefficient per slot of an int, a byte or two
-wide, so a product is three integer multiplies with Barrett's reduction,
-and an inverse is one extended Euclid that updates the remainder and its
-cofactor in the same shift-and-XOR step.
+candidate's own ring GF(p)[x]/(f) with the multiply and the inverse of the
+field it would define: a gcd with f is 1 exactly when the ring has an
+inverse.  Each element encoding has one extended Euclid, which cancels the
+remainder's leading term and updates its cofactor in the same step, and
+which reports a non-unit instead of an inverse.  GF(2^e) keeps one
+coefficient per slot of an int, a byte or two wide, so a product is three
+integer multiplies with Barrett's reduction, and its Euclid shifts and
+XORs the coefficient bits; GF(p^e) for odd p runs it on coefficient lists.
 
 All scalars are plain Python data (ints, tuples of ints); each concrete
 domain is a small object bundling the ring operations for them.
@@ -203,9 +206,6 @@ class PrimeField:
             raise MathPreconditionError("division by zero in GF(p)")
         return pow(a, -1, self.p)
 
-    def exact_div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def from_int(self, c):
         return c % self.p
 
@@ -296,6 +296,13 @@ class BinaryExtensionField:
     def inv(self, a):
         if a == 0:
             raise MathPreconditionError("division by zero in GF(2^e)")
+        inverse = self.unit_inverse(a)
+        if inverse is None:
+            raise InternalError("modulus of GF(2^e) is not irreducible")
+        return inverse
+
+    def unit_inverse(self, a):
+        """a^-1 in GF(2)[x]/(modulus), or None when a is 0 or shares a factor with it."""
         # Extended Euclid in GF(2)[x] on bit strings, one shift-and-XOR step
         # at a time on the remainder u and its cofactor g (g * a = u mod m,
         # and likewise h * a = v).  deg g + deg v and deg h + deg u stay at
@@ -310,12 +317,7 @@ class BinaryExtensionField:
             u ^= v << j
             g ^= h << j
             du = u.bit_length()
-        if u != 1:
-            raise InternalError("modulus of GF(2^e) is not irreducible")
-        return self.pack(g)
-
-    def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return self.pack(g) if u == 1 else None
 
     @staticmethod
     def from_int(c):
@@ -376,25 +378,39 @@ class PrimeExtensionField:
     def inv(self, a):
         if self.is_zero(a):
             raise MathPreconditionError("division by zero in GF(p^e)")
-        p = self.p
-        r0 = list(self.modulus)
-        r1 = list(a)
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, r = _gfp_poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _gfp_poly_sub(s0, _gfp_poly_mul(q, s1, p), p)
-        # r0 is a nonzero constant gcd
-        r0 = _gfp_poly_trim(r0)
-        if len(r0) != 1:
+        inverse = self.unit_inverse(a)
+        if inverse is None:
             raise InternalError("modulus of GF(p^e) is not irreducible")
-        c_inv = pow(r0[0], -1, p)
-        s0 = [(x * c_inv) % p for x in s0]
-        s0 = (s0 + [0] * self.e)[: self.e]
-        return tuple(s0)
+        return inverse
 
-    def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def unit_inverse(self, a):
+        """a^-1 in GF(p)[x]/(modulus), or None when a is 0 or shares a factor with it."""
+        # The extended Euclid of BinaryExtensionField on coefficient lists,
+        # constant term first: each step cancels the leading term of the
+        # remainder u with c x^j v and updates its cofactor g the same way
+        # (g * a = u mod m, and likewise h * a = v).  The list lengths keep
+        # len g + len v and len h + len u at most e + 2, and v, the modulus
+        # or a former u, is never constant, so g ends below degree e.
+        p, e = self.p, self.e
+        u, v, g, h = list(a), list(self.modulus), [1], []
+        while u and not u[-1]:
+            u.pop()
+        while len(u) > 1:
+            j = len(u) - len(v)
+            if j < 0:
+                u, v, g, h, j = v, u, h, g, -j
+            c = u[-1] * pow(v[-1], -1, p) % p
+            for i, y in enumerate(v, j):
+                u[i] = (u[i] - c * y) % p
+            g += [0] * (len(h) + j - len(g))
+            for i, y in enumerate(h, j):
+                g[i] = (g[i] - c * y) % p
+            while u and not u[-1]:
+                u.pop()
+        if not u:
+            return None
+        c = pow(u[0], -1, p)
+        return tuple(x * c % p for x in g) + (0,) * (e - len(g))
 
     def from_int(self, c):
         return (c % self.p,) + (0,) * (self.e - 1)
@@ -410,61 +426,6 @@ class PrimeExtensionField:
         return f"GF({self.p}^{self.e})"
 
 
-# ---------------------------------------------- GF(p)[x] helpers (lists)
-
-
-def _gfp_poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _gfp_poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    size = max(len(a), len(b))
-    a = a + [0] * (size - len(a))
-    b = b + [0] * (size - len(b))
-    return _gfp_poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _gfp_poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    acc = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                acc[i + j] = (acc[i + j] + x * y) % p
-    return _gfp_poly_trim(acc)
-
-
-def _gfp_poly_divmod(a: list[int], b: list[int], p: int):
-    a = list(a)
-    b = _gfp_poly_trim(list(b))
-    if b == [0]:
-        raise InternalError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        a = _gfp_poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        if c == 0:
-            a = a[:-1]
-            continue
-        q[shift] = c
-        for j, y in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * y) % p
-        a = a[:-1]
-    return _gfp_poly_trim(q), _gfp_poly_trim(a)
-
-
-def _gfp_poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while any(b):
-        a, b = b, _gfp_poly_divmod(a, b, p)[1]
-    return _gfp_poly_trim(a)
-
-
 def _extension_ring(p: int, coeffs: Sequence[int]):
     """GF(p)[x]/(f) for f monic with ``coeffs`` constant first; a field iff f is irreducible."""
     if p == 2:
@@ -472,27 +433,17 @@ def _extension_ring(p: int, coeffs: Sequence[int]):
     return PrimeExtensionField(p, len(coeffs) - 1, tuple(coeffs))
 
 
-def _gf2_poly_gcd(a: int, b: int) -> int:
-    """gcd in GF(2)[x] of bit-packed polynomials."""
-    while b:
-        db = b.bit_length()
-        da = a.bit_length()
-        while da >= db:
-            a ^= b << (da - db)
-            da = a.bit_length()
-        a, b = b, a
-    return a
-
-
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
     """Ben-Or's irreducibility test for a monic polynomial f over GF(p).
 
     f of degree e is irreducible iff gcd(f, x^(p^i) - x) = 1 for every
     i <= e/2, since a reducible f has an irreducible factor of some degree
-    i <= e/2, which divides x^(p^i) - x.  The test returns at the first
-    nontrivial gcd.  x^(p^i) mod f comes from i Frobenius steps y -> y^p in
-    the ring GF(p)[x]/(f), with the same multiply as the field that f
-    defines; over GF(2) the gcd runs on packed ints.
+    i <= e/2, which divides x^(p^i) - x.  Both run in the ring
+    GF(p)[x]/(f), with the same multiply as the field that f defines:
+    x^(p^i) mod f comes from i Frobenius steps y -> y^p, and gcd(f, h) = 1
+    for deg h < e exactly when h is a unit there, which the ring's one
+    extended Euclid decides.  The test returns at the first y - x that is
+    not a unit.
     """
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
@@ -503,10 +454,7 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
     x = y = ring.sample(p)  # the class of x: index p is the digit string "10"
     for _ in range(e // 2):
         y = _domain_pow(ring, y, p)
-        if p == 2:
-            if _gf2_poly_gcd(ring.modulus, ring.unpack(y ^ x)) != 1:
-                return False
-        elif len(_gfp_poly_gcd(coeffs, _gfp_poly_sub(list(y), [0, 1], p), p)) != 1:
+        if ring.unit_inverse(ring.sub(y, x)) is None:
             return False
     return True
 

@@ -123,13 +123,7 @@ class Permutation:
         )
 
     def length(self) -> int:
-        img = self.images
-        return sum(
-            1
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if img[i] > img[j]
-        )
+        return len(self.inversions())
 
     def reduced_word(self) -> tuple[int, ...]:
         """One reduced word for the permutation (empty for the identity)."""

@@ -4,9 +4,10 @@ The oracles here deliberately do not reuse the package's own elimination
 code: ranks and determinants are recomputed with ``fractions.Fraction``
 so that library results are checked against a second, independent route.
 The GF(2^e) multiply is kept here bit-serial, reducing one bit per step,
-as the reference for the table-driven reduction in ``shiftlab.field``,
-Rabin's irreducibility test on coefficient lists as an independent oracle
-for the package's Ben-Or test, and the fraction-free Bareiss offer dense,
+as the reference for the Barrett reduction in ``shiftlab.field``, a
+product sieve as an independent oracle for the package's Ben-Or test (a
+monic polynomial is reducible exactly when it is a product of two monics
+of lower degree), and the fraction-free Bareiss offer dense,
 every pivot updating every row, as the reference for the one in
 ``ProfileState``, which skips updates whose result it already knows.  The
 package computes over Q modulo a prime; ``ZZ`` here is the ring of plain
@@ -19,17 +20,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from shiftlab import field
-from shiftlab.field import (
-    _gfp_poly_divmod,
-    _gfp_poly_gcd,
-    _gfp_poly_mul,
-    _gfp_poly_sub,
-    _gfp_poly_trim,
-)
 from shiftlab.errors import InternalError
 
 # Lines appended by the acceptance tests; printed at the end of the run.
@@ -244,47 +239,34 @@ def gf2_mul_oracle(a: int, b: int, modulus: int) -> int:
     return r
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+def gfp_poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b in GF(p)[x], coefficient lists with the constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
     return out
 
 
-def _gfp_poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gfp_poly_divmod(base, mod, p)[1]
-    while exp:
-        if exp & 1:
-            result = _gfp_poly_divmod(_gfp_poly_mul(result, base, p), mod, p)[1]
-        base = _gfp_poly_divmod(_gfp_poly_mul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
+def _monics(p: int, d: int) -> list[list[int]]:
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=d)]
+
+
+@lru_cache(maxsize=None)
+def reducible_monics(p: int, e: int) -> frozenset[tuple[int, ...]]:
+    """Every product of two monics over GF(p) whose degrees sum to e."""
+    return frozenset(
+        tuple(gfp_poly_mul(f, g, p))
+        for d in range(1, e // 2 + 1)
+        for f in _monics(p, d)
+        for g in _monics(p, e - d)
+    )
 
 
 def is_irreducible_oracle(coeffs: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over GF(p), by square-and-multiply
-    on coefficient lists."""
+    """Whether a monic polynomial over GF(p), constant term first, is no
+    product of two monics of lower degree."""
     e = len(coeffs) - 1
     if e < 1 or coeffs[-1] != 1:
         return False
-    if e == 1:
-        return True
-    x = [0, 1]
-    # x^(p^e) must equal x mod f
-    frob = _gfp_poly_powmod(x, p**e, coeffs, p)
-    if _gfp_poly_trim(frob) != _gfp_poly_sub(x, [0], p):
-        return False
-    for q in _prime_factors(e):
-        power = _gfp_poly_powmod(x, p ** (e // q), coeffs, p)
-        diff = _gfp_poly_sub(power, x, p)
-        g = _gfp_poly_gcd(coeffs, diff, p)
-        if len(g) != 1:
-            return False
-    return True
+    return tuple(coeffs) not in reducible_monics(p, e)

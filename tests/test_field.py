@@ -12,6 +12,7 @@ from conftest import (
     frac_rank,
     frac_rank_mod,
     gf2_mul_oracle,
+    gfp_poly_mul,
     is_irreducible_oracle,
     rng,
 )
@@ -35,6 +36,7 @@ from shiftlab import (
 )
 from shiftlab.field import (
     BinaryExtensionField,
+    PrimeExtensionField,
     ProfileState,
     _is_irreducible,
     lex_first_bases,
@@ -104,7 +106,7 @@ def test_prime_field_inverse_in_mersenne_fields(q):
     gen = rng(f"inv-mersenne-{q}")
     for a in [1, 2, p - 1, p - 2] + [gen.randrange(1, p) for _ in range(50)]:
         assert a * f.inv(a) % p == 1
-        assert f.exact_div(a, a) == 1
+        assert f.mul(a, f.inv(a)) == 1
     assert f.inv(p + 3) == f.inv(3)
     with pytest.raises(MathPreconditionError):
         f.inv(p)
@@ -189,6 +191,50 @@ def test_is_irreducible_rejects_a_linear_factor_at_the_first_step(monkeypatch, p
     assert _is_irreducible(digits, p) and len(steps) == (len(digits) - 1) // 2
 
 
+@pytest.mark.parametrize("p, e", [(3, 4), (5, 3)])
+def test_gfp_extension_inverts_every_nonzero_element(p, e):
+    f = gf_extension(p, p**e)
+    assert isinstance(f, PrimeExtensionField) and f.e == e
+    for index in range(1, f.size):
+        a = f.sample(index)
+        assert f.mul(a, f.inv(a)) == f.one, a
+
+
+def test_gfp_extension_inverse_in_the_pinned_field():
+    f = gf_extension(3, 3**21)  # the field of _PINNED_GF3E[(21, 0)]
+    gen = rng("inv-gf3e-21")
+    for a in [f.one, f.sample(3), f.sample(f.size - 1)] + [
+        f.sample(gen.randrange(1, f.size)) for _ in range(200)
+    ]:
+        assert f.mul(a, f.inv(a)) == f.one, a
+    with pytest.raises(MathPreconditionError):
+        f.inv(f.zero)
+
+
+def test_reducible_modulus_reports_no_inverse_for_a_zero_divisor():
+    # x^3 + 1 = (x + 1)(x^2 + x + 1) over GF(2), and over GF(3)
+    # x^3 + x^2 + x + 1 = (x + 1)(x^2 + 1)
+    gf2 = BinaryExtensionField(3, 0b1001)
+    factor, cofactor = gf2.pack(0b11), gf2.pack(0b111)
+    assert gf2.mul(factor, cofactor) == gf2.zero
+    gf3 = PrimeExtensionField(3, 3, tuple(gfp_poly_mul([1, 1], [1, 0, 1], 3)))
+    assert gf3.modulus == (1, 1, 1, 1)
+    assert gf3.mul((1, 1, 0), (1, 0, 1)) == gf3.zero
+    for ring, zero_divisors, unit in [
+        (gf2, [factor, cofactor], gf2.pack(0b10)),
+        (gf3, [(1, 1, 0), (1, 0, 1), (2, 2, 0)], (0, 1, 0)),
+    ]:
+        for a in zero_divisors:
+            assert ring.unit_inverse(a) is None
+            with pytest.raises(InternalError):
+                ring.inv(a)
+        # x is a unit in both rings: its inverse still comes out
+        assert ring.mul(unit, ring.inv(unit)) == ring.one
+        assert ring.unit_inverse(ring.zero) is None
+        with pytest.raises(MathPreconditionError):
+            ring.inv(ring.zero)
+
+
 def _gf2e_edge_and_random_elements(f, count):
     gen = rng(f"gf2e-{f.e}")
     return [0, 1, 1 << (f.e - 1), f.size - 1] + [gen.randrange(f.size) for _ in range(count)]
@@ -270,8 +316,8 @@ def test_gf2e_eval_point_unpacks_to_the_stream_values():
     assert [pt.domain.unpack(pt.assignment[v]) for v in sorted(variables)] == want
 
 
-# The moduli every seeded run samples from.  Ben-Or's test, like the Rabin
-# oracle in conftest, is exact, so any rewrite of the search must land on
+# The moduli every seeded run samples from.  Ben-Or's test, like the
+# product sieve in conftest, is exact, so any rewrite of the search must land on
 # these; a change here moves every point drawn in the extension field and
 # with it the randomized outputs.
 _PINNED_GF2E = {
@@ -289,6 +335,13 @@ _PINNED_GF3E = {
     (24, 0): "2001112121012100122002021",
     (26, 201): "211101000222212220122002001",
 }
+# GF(5^e) moduli, constant coefficient first, a second odd prime for the search
+_PINNED_GF5E = {
+    (4, 0): "31111",
+    (9, 0): "1444420121",
+    (13, 201): "10423413321421",
+    (16, 777): "20200000332122041",
+}
 
 
 def test_gf_extension_moduli_are_pinned():
@@ -297,6 +350,8 @@ def test_gf_extension_moduli_are_pinned():
             assert gf_extension(2, 2**e, seed).modulus == modulus, (e, seed)
     for (e, seed), digits in _PINNED_GF3E.items():
         assert gf_extension(3, 3**e, seed).modulus == tuple(map(int, digits)), (e, seed)
+    for (e, seed), digits in _PINNED_GF5E.items():
+        assert gf_extension(5, 5**e, seed).modulus == tuple(map(int, digits)), (e, seed)
 
 
 # ----------------------------------------------------------- polynomials
