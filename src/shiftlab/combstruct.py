@@ -1,11 +1,14 @@
 """k-subsets of {1, .., n}, uniform hypergraphs, and simplicial complexes.
 
-Subsets are stored as bitmasks (bit i-1 set means vertex i is present),
-which keeps the two orders used everywhere cheap:
+Every subset is a plain int bitmask (bit i-1 set means vertex i is
+present): the edges of a hypergraph, the faces of a complex and the
+columns of a compound alike.  ``subset_mask`` packs a vertex list and
+``subset_elements`` unpacks one.  Bitmasks keep the two orders used
+everywhere cheap:
 
 * lexicographic order: S < T iff the smallest element of the symmetric
-  difference lies in S; on 2-subsets of {1,..,4} this sorts
-  12 < 13 < 14 < 23 < 24 < 34;
+  difference lies in S, that is iff the least bit of S ^ T lies in S; on
+  2-subsets of {1,..,4} this sorts 12 < 13 < 14 < 23 < 24 < 34;
 * domination order: with both sets written increasingly, a_t <= b_t for
   every coordinate t.
 
@@ -25,9 +28,9 @@ from typing import Iterable, Sequence
 from .errors import InputFormatError, MathPreconditionError, NotClosedError
 
 __all__ = [
-    "KSubset",
+    "subset_mask",
+    "subset_elements",
     "k_subsets",
-    "lex_compare",
     "UniformHypergraph",
     "is_shifted",
     "FVector",
@@ -49,78 +52,42 @@ __all__ = [
 # ------------------------------------------------------------------ subsets
 
 
-@dataclass(frozen=True, order=False)
-class KSubset:
-    """A k-element subset of {1, .., n} as a bitmask."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.bits < 0 or self.bits >> self.n:
-            raise MathPreconditionError(
-                f"bitmask {self.bits:#x} does not fit inside 1..{self.n}"
-            )
-
-    @classmethod
-    def from_elements(cls, n: int, elements: Iterable[int]) -> "KSubset":
-        bits = 0
-        for v in elements:
-            if not 1 <= v <= n:
-                raise MathPreconditionError(f"vertex {v} outside 1..{n}")
-            bit = 1 << (v - 1)
-            if bits & bit:
-                raise MathPreconditionError(f"repeated vertex {v}")
-            bits |= bit
-        return cls(n, bits)
-
-    @property
-    def k(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> tuple[int, ...]:
-        bits, out = self.bits, []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length())
-            bits ^= low
-        return tuple(out)
-
-    def contains(self, v: int) -> bool:
-        return bool(self.bits >> (v - 1) & 1)
-
-    def replace(self, old: int, new: int) -> "KSubset":
-        """The set with ``old`` swapped out for ``new``."""
-        if not self.contains(old) or self.contains(new):
-            raise MathPreconditionError(f"cannot replace {old} by {new} in {self}")
-        return KSubset(self.n, self.bits ^ (1 << (old - 1)) ^ (1 << (new - 1)))
-
-    def __lt__(self, other: "KSubset") -> bool:
-        return lex_compare(self, other) < 0
-
-    def __le__(self, other: "KSubset") -> bool:
-        return lex_compare(self, other) <= 0
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(str(v) for v in self.elements()) + "}"
+def subset_mask(n: int, elements: Iterable[int]) -> int:
+    """The bitmask of a set of vertices, each in 1..n and none repeated."""
+    bits = 0
+    for v in elements:
+        if not 1 <= v <= n:
+            raise MathPreconditionError(f"vertex {v} outside 1..{n}")
+        bit = 1 << (v - 1)
+        if bits & bit:
+            raise MathPreconditionError(f"repeated vertex {v}")
+        bits |= bit
+    return bits
 
 
-def lex_compare(a: KSubset, b: KSubset) -> int:
-    """-1, 0 or 1; the smaller set owns the smallest differing element."""
-    diff = a.bits ^ b.bits
-    if not diff:
-        return 0
-    return -1 if diff & -diff & a.bits else 1
+def subset_elements(bits: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, increasing."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return tuple(out)
+
+
+def _show(bits: int) -> str:
+    """``{1,2}`` for the set {1, 2}, as error messages and reprs write it."""
+    if bits < 0:
+        return f"{bits:#x}"
+    return "{" + ",".join(map(str, subset_elements(bits))) + "}"
 
 
 @lru_cache(maxsize=None)
-def k_subsets(n: int, k: int) -> tuple[KSubset, ...]:
-    """All k-subsets of {1, .., n} in lexicographic order."""
+def k_subsets(n: int, k: int) -> tuple[int, ...]:
+    """The bitmasks of all k-subsets of {1, .., n}, in lexicographic order."""
     if k < 0 or n < 0:
         raise MathPreconditionError(f"bad subset parameters n={n}, k={k}")
-    return tuple(
-        KSubset.from_elements(n, combo) for combo in combinations(range(1, n + 1), k)
-    )
+    return tuple(map(sum, combinations([1 << i for i in range(n)], k)))
 
 
 # ------------------------------------------------------------- hypergraphs
@@ -132,61 +99,55 @@ class UniformHypergraph:
 
     n: int
     k: int
-    edges: tuple[KSubset, ...]
+    edges: tuple[int, ...]
 
     def __post_init__(self):
         seen = set()
         for e in self.edges:
-            if e.n != self.n or e.k != self.k:
+            if e < 0 or e >> self.n or e.bit_count() != self.k:
                 raise MathPreconditionError(
-                    f"edge {e} does not live in C([{self.n}], {self.k})"
+                    f"edge {_show(e)} does not live in C([{self.n}], {self.k})"
                 )
-            if e.bits in seen:
-                raise MathPreconditionError(f"repeated edge {e}")
-            seen.add(e.bits)
+            if e in seen:
+                raise MathPreconditionError(f"repeated edge {_show(e)}")
+            seen.add(e)
         edges = tuple(self.edges)
-        # shifted families arrive in lex order already; sort only when not
-        if any(lex_compare(a, b) > 0 for a, b in zip(edges, edges[1:])):
-            edges = tuple(sorted(edges, key=lambda e: e.elements()))
+        # b precedes a when the least bit of a ^ b lies in b; shifted
+        # families arrive in lex order already, so sort only when not
+        if any((a ^ b) & -(a ^ b) & b for a, b in zip(edges, edges[1:])):
+            edges = tuple(sorted(edges, key=subset_elements))
         object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(
-        cls, n: int, k: int, edges: Iterable[Iterable[int] | KSubset]
+        cls, n: int, k: int, edges: Iterable[Iterable[int]]
     ) -> "UniformHypergraph":
-        packed = [
-            e if isinstance(e, KSubset) else KSubset.from_elements(n, e) for e in edges
-        ]
+        packed = tuple(subset_mask(n, e) for e in edges)
         for e in packed:
-            if e.k != k:
-                raise MathPreconditionError(f"edge {e} is not a {k}-subset")
-        return cls(n, k, tuple(packed))
+            if e.bit_count() != k:
+                raise MathPreconditionError(f"edge {_show(e)} is not a {k}-subset")
+        return cls(n, k, packed)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_bits(self) -> frozenset[int]:
-        return frozenset(e.bits for e in self.edges)
-
-    def contains(self, s: KSubset) -> bool:
-        return any(e.bits == s.bits for e in self.edges)
-
     def edge_lists(self) -> list[list[int]]:
-        return [list(e.elements()) for e in self.edges]
+        return [list(subset_elements(e)) for e in self.edges]
 
     def __repr__(self) -> str:
-        return f"UniformHypergraph(n={self.n}, k={self.k}, {list(self.edges)})"
+        edges = ", ".join(map(_show, self.edges))
+        return f"UniformHypergraph(n={self.n}, k={self.k}, [{edges}])"
 
 
 def is_shifted(h: UniformHypergraph) -> bool:
     """Closed downward under domination, via single-element exchanges."""
-    present = h.edge_bits()
+    present = set(h.edges)
     for e in h.edges:
-        for j in e.elements():
+        for j in subset_elements(e):
             for i in range(1, j):
-                if not e.contains(i):
-                    if (e.bits ^ (1 << (j - 1)) ^ (1 << (i - 1))) not in present:
+                if not e >> (i - 1) & 1:
+                    if (e ^ (1 << (j - 1)) ^ (1 << (i - 1))) not in present:
                         return False
     return True
 
@@ -236,10 +197,10 @@ class SimplicialComplex:
             while bits:
                 low = bits & -bits
                 if (f ^ low) not in self.faces:
-                    face = KSubset(self.n, f).elements()
+                    face = subset_elements(f)
                     raise NotClosedError(
                         f"face {face} present but its subset "
-                        f"{KSubset(self.n, f ^ low).elements()} is missing",
+                        f"{subset_elements(f ^ low)} is missing",
                         witness=face,
                     )
                 bits ^= low
@@ -254,7 +215,7 @@ class SimplicialComplex:
         faces: set[int] = set()
         stack = []
         for facet in facets:
-            stack.append(KSubset.from_elements(n, facet).bits)
+            stack.append(subset_mask(n, facet))
         if stack:
             faces.add(0)
         while stack:
@@ -278,22 +239,20 @@ class SimplicialComplex:
         return max(f.bit_count() for f in self.faces) - 1
 
     def contains(self, elements: Iterable[int]) -> bool:
-        return KSubset.from_elements(self.n, elements).bits in self.faces
+        return subset_mask(self.n, elements) in self.faces
 
     def layer(self, s: int) -> UniformHypergraph:
         """The (s+1)-subsets that are faces, as a uniform hypergraph."""
         if s < 0:
             raise MathPreconditionError("layer index must be at least 0")
         k = s + 1
-        edges = tuple(
-            KSubset(self.n, f) for f in self.faces if f.bit_count() == k
-        )
+        edges = tuple(f for f in self.faces if f.bit_count() == k)
         return UniformHypergraph(self.n, k, edges)
 
     def layers(self) -> list[UniformHypergraph]:
         return [self.layer(s) for s in range(self.dim + 1)]
 
-    def facets(self) -> tuple[KSubset, ...]:
+    def facets(self) -> tuple[int, ...]:
         facets = [
             f
             for f in self.faces
@@ -301,12 +260,10 @@ class SimplicialComplex:
         ]
         if self.faces == frozenset({0}):
             facets = [0]
-        return tuple(
-            sorted((KSubset(self.n, f) for f in facets), key=lambda s: s.elements())
-        )
+        return tuple(sorted(facets, key=subset_elements))
 
     def facets_as_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(f.elements() for f in self.facets())
+        return tuple(map(subset_elements, self.facets()))
 
     def f_vector(self) -> FVector:
         if not self.faces:
@@ -318,7 +275,7 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         shown = ",".join(
-            "".join(map(str, f.elements())) if f.bits else "()"
+            "".join(map(str, subset_elements(f))) if f else "()"
             for f in self.facets()
         )
         return f"SimplicialComplex(n={self.n}, facets=[{shown}])"
@@ -341,7 +298,7 @@ def complex_from_layers(layers: Sequence[UniformHypergraph]) -> SimplicialComple
         if layer.k in sizes:
             raise MathPreconditionError(f"two layers with k={layer.k}")
         sizes.add(layer.k)
-        faces.update(e.bits for e in layer.edges)
+        faces.update(layer.edges)
     return SimplicialComplex(n, frozenset(faces))
 
 
@@ -387,7 +344,7 @@ def _require_json_ints(what: str, faces, **sizes) -> None:
 def complex_to_json(K: SimplicialComplex) -> str:
     payload = {
         "n": K.n,
-        "facets": [list(f.elements()) for f in K.facets()],
+        "facets": [list(f) for f in K.facets_as_tuples()],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

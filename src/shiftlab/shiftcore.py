@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .combstruct import KSubset, UniformHypergraph, k_subsets
+from .combstruct import UniformHypergraph, k_subsets, subset_elements
 from .errors import (
     InternalError,
     MathPreconditionError,
@@ -285,7 +285,7 @@ def evaluate_matrix(g: GenericMatrix, point: EvalPoint) -> list[list]:
 # ------------------------------------------------------------- compounds
 
 
-def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[KSubset], domain):
+def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[int], domain):
     """Coefficients of the wedge of the rows indexed by each edge.
 
     Dynamic programming over subsets: wedge in one row at a time, tracking
@@ -309,7 +309,7 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[KSubset], domai
     before: tuple[int, ...] = ()
     out = []
     for edge in edges:
-        elements = edge.elements()
+        elements = subset_elements(edge)
         t = 0
         while t < len(before) and before[t] == elements[t]:
             t += 1
@@ -340,12 +340,13 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[KSubset], domai
 class CompoundSubmatrix:
     """Rows of the k-th compound of g indexed by the edges of S.
 
-    Columns run over all k-subsets of [n] in lexicographic order; the
-    (rho, tau) entry is the k x k minor of g with rows rho, columns tau.
+    Columns run over the bitmasks of all k-subsets of [n] in lexicographic
+    order; the (rho, tau) entry is the k x k minor of g with rows rho,
+    columns tau.
     """
 
     source: UniformHypergraph
-    columns: tuple[KSubset, ...]
+    columns: tuple[int, ...]
     rows: tuple[tuple[MultiPoly, ...], ...]
 
 
@@ -358,7 +359,7 @@ def compound_rows(g: GenericMatrix, S: UniformHypergraph) -> CompoundSubmatrix:
     entries = [[dom.pack(e) for e in row] for row in g.entries]
     columns = k_subsets(S.n, S.k)
     rows = [
-        tuple(dom.unpack(state.get(col.bits, dom.zero)) for col in columns)
+        tuple(dom.unpack(state.get(col, dom.zero)) for col in columns)
         for state in _wedge_rows(entries, S.edges, dom)
     ]
     return CompoundSubmatrix(source=S, columns=columns, rows=tuple(rows))
@@ -512,7 +513,7 @@ def _shift_families(
             continue
         columns = k_subsets(S.n, S.k)
         wedges = _wedge_rows(entries, S.edges, dom)
-        matrix = [[row.get(col.bits, zero) for row in wedges] for col in columns]
+        matrix = [[row.get(col, zero) for row in wedges] for col in columns]
         families: dict[int, UniformHypergraph] = {}
         shifted = []
         for kept in lex_first_bases(matrix, S.m, dom, column_orders(S.n, S.k)):
@@ -541,11 +542,11 @@ def exterior_shift_profile(
     # only a sampled point reads the tag; the symbolic backend skips the hash
     tag = None
     if ctx.backend is not Backend.SYMBOLIC:
-        tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{tuple(e.bits for e in S.edges)!r}"
+        tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{S.edges!r}"
     (families,) = _shift_families(g, [S], tag, ctx, _lex_order)
     shifted = S if families is None else families[0]
-    edges = shifted.edge_bits()
-    steps = [col.bits in edges for col in k_subsets(S.n, S.k)]
+    edges = set(shifted.edges)
+    steps = [col in edges for col in k_subsets(S.n, S.k)]
     return tuple(accumulate(steps, initial=0)), shifted
 
 
@@ -623,8 +624,8 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     whole process: every family of a graph build or a scan reuses them.
     """
     columns = k_subsets(n, k)
-    index = {col.bits: i for i, col in enumerate(columns)}
-    elements = [col.elements() for col in columns]
+    index = {col: i for i, col in enumerate(columns)}
+    elements = [subset_elements(col) for col in columns]
     table = []
     for w in _permutations(n):
         preimage_bit = [0] * (n + 1)
@@ -689,7 +690,7 @@ def all_partial_shifts(
     if any(S.n != n for S in layers):
         raise MathPreconditionError("layers live on different vertex sets")
     perms = _permutations(n)
-    tag = f"all_cells:{n}:{[(S.k, tuple(e.bits for e in S.edges)) for S in layers]!r}"
+    tag = f"all_cells:{n}:{[(S.k, S.edges) for S in layers]!r}"
     if ctx.backend is Backend.SYMBOLIC:
         # per layer, the first object of each distinct family stands for it
         firsts = [{} for _ in layers]
@@ -715,15 +716,15 @@ def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergra
             f"combinatorial shift needs a transposition, got {t.one_line()}"
         )
     i, j = pair
-    present = S.edge_bits()
+    bit_j = 1 << (j - 1)
+    swap = 1 << (i - 1) | bit_j
+    present = set(S.edges)
     out = []
     for edge in S.edges:
-        if edge.contains(j) and not edge.contains(i):
-            moved = edge.replace(j, i)
-            out.append(moved if moved.bits not in present else edge)
-        else:
-            out.append(edge)
-    result = UniformHypergraph.from_edges(S.n, S.k, out)
+        # an edge holding j but not i trades j for i
+        moved = edge ^ swap
+        out.append(moved if edge & swap == bit_j and moved not in present else edge)
+    result = UniformHypergraph(S.n, S.k, tuple(out))
     if result.m != S.m:
         raise InternalError("combinatorial shift changed the edge count")
     return result

@@ -18,7 +18,7 @@ ground-set size ``n`` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _iter_permutations
+from itertools import combinations, permutations as _iter_permutations
 from typing import Iterable, Iterator
 
 from .errors import InputFormatError, MathPreconditionError
@@ -123,7 +123,8 @@ class Permutation:
         )
 
     def length(self) -> int:
-        return len(self.inversions())
+        """The number of inversions, counted without building them."""
+        return sum(a > b for a, b in combinations(self.images, 2))
 
     def reduced_word(self) -> tuple[int, ...]:
         """One reduced word for the permutation (empty for the identity)."""

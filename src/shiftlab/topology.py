@@ -186,7 +186,7 @@ def betti_via_full_shift(K: SimplicialComplex, ctx: FieldContext) -> BettiVector
 
     layers = K.layers()
     ones = [
-        sum(1 for e in full_shift(layer, ctx).edges if e.contains(1))
+        sum(e & 1 for e in full_shift(layer, ctx).edges)
         for layer in layers
     ] + [0]  # no layer above the top one
     values = [layers[k].m - ones[k + 1] - ones[k] for k in range(dim + 1)]

@@ -12,37 +12,38 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from shiftlab import GenericMatrix, KSubset, MultiPoly, Permutation, UniformHypergraph
+from shiftlab import GenericMatrix, MultiPoly, Permutation, UniformHypergraph
+from shiftlab import subset_elements, subset_mask
 from shiftlab import InternalError, MathPreconditionError, MatrixNotInvertibleError
 from shiftlab import cell_representative, matrix_from_entries, matrix_product
 from shiftlab.field import Monomial, _norm_terms, _var_key
 from shiftlab.field import lex_first_bases, rational_rank_field
 
 
-def dominates(sigma: KSubset, tau: KSubset) -> bool:
-    """True iff sigma is at most tau coordinate by coordinate.
+def dominates(sigma: int, tau: int) -> bool:
+    """True iff the bitmask sigma is at most tau coordinate by coordinate.
 
     Both sets must have the same cardinality; equivalent formulation:
     for every v, sigma has at least as many elements <= v as tau does.
     """
-    if sigma.k != tau.k:
+    if sigma.bit_count() != tau.bit_count():
         raise MathPreconditionError("domination compares equal-size subsets only")
-    return all(a <= b for a, b in zip(sigma.elements(), tau.elements()))
+    return all(a <= b for a, b in zip(subset_elements(sigma), subset_elements(tau)))
 
 
-def subset_rank(s: KSubset) -> int:
-    """Position of ``s`` in the lexicographic enumeration of its (n, k)."""
+def subset_rank(n: int, s: int) -> int:
+    """Position of the bitmask ``s`` in the lexicographic enumeration of its (n, k)."""
     rank, prev = 0, 0
-    remaining = s.k
-    for v in s.elements():
+    remaining = s.bit_count()
+    for v in subset_elements(s):
         for u in range(prev + 1, v):
-            rank += comb(s.n - u, remaining - 1)
+            rank += comb(n - u, remaining - 1)
         prev = v
         remaining -= 1
     return rank
 
 
-def subset_unrank(n: int, k: int, rank: int) -> KSubset:
+def subset_unrank(n: int, k: int, rank: int) -> int:
     if not 0 <= rank < comb(n, k):
         raise MathPreconditionError(f"rank {rank} out of range for C({n},{k})")
     elements = []
@@ -54,18 +55,17 @@ def subset_unrank(n: int, k: int, rank: int) -> KSubset:
         else:
             rank -= block
         v += 1
-    return KSubset.from_elements(n, elements)
+    return subset_mask(n, elements)
 
 
 def hypergraph_lex_compare(a: UniformHypergraph, b: UniformHypergraph) -> int:
     """-1, 0 or 1; the smaller family owns the lex-least edge they disagree on."""
     if (a.n, a.k) != (b.n, b.k):
         raise MathPreconditionError("hypergraphs live on different vertex sets")
-    sym = a.edge_bits() ^ b.edge_bits()
+    sym = set(a.edges) ^ set(b.edges)
     if not sym:
         return 0
-    least = min((KSubset(a.n, bits) for bits in sym), key=lambda s: s.elements())
-    return -1 if least.bits in a.edge_bits() else 1
+    return -1 if min(sym, key=subset_elements) in a.edges else 1
 
 
 def inversions_of_product(v: Permutation, w: Permutation) -> frozenset[tuple[int, int]]:

@@ -11,7 +11,6 @@ from lemmas import dominates, hypergraph_lex_compare, subset_rank, subset_unrank
 from shiftlab import (
     FVector,
     InputFormatError,
-    KSubset,
     MathPreconditionError,
     NotClosedError,
     SimplicialComplex,
@@ -27,56 +26,59 @@ from shiftlab import (
     is_near_cone,
     is_shifted,
     k_subsets,
-    lex_compare,
     read_family,
+    subset_elements,
+    subset_mask,
 )
+from shiftlab import combstruct
 
 
-# ------------------------------------------------------------- KSubset
+# --------------------------------------------------------------- subsets
 
 
-def test_from_elements_and_back():
-    s = KSubset.from_elements(6, [5, 2, 3])
-    assert s.elements() == (2, 3, 5)
-    assert s.k == 3
-    assert s.contains(3) and not s.contains(4)
+def test_subset_mask_and_elements_round_trip():
+    # every subset of [7], in every vertex order, packs to the bitmask with
+    # bit v - 1 per vertex v and unpacks to its sorted vertices
+    for r in range(0, 8):
+        for combo in itertools.combinations(range(1, 8), r):
+            for s in (combo, combo[::-1]):
+                bits = subset_mask(7, s)
+                assert bits == sum(1 << (v - 1) for v in s)
+                assert subset_elements(bits) == tuple(sorted(s))
 
 
-def test_from_elements_rejects_bad_vertices():
-    with pytest.raises(MathPreconditionError):
-        KSubset.from_elements(4, [0])
-    with pytest.raises(MathPreconditionError):
-        KSubset.from_elements(4, [5])
-    with pytest.raises(MathPreconditionError):
-        KSubset.from_elements(4, [2, 2])
+def test_subset_mask_rejects_bad_vertices():
+    with pytest.raises(MathPreconditionError, match="vertex 0 outside 1..4"):
+        subset_mask(4, [0])
+    with pytest.raises(MathPreconditionError, match="vertex 5 outside 1..4"):
+        subset_mask(4, [5])
+    with pytest.raises(MathPreconditionError, match="repeated vertex 2"):
+        subset_mask(4, [2, 2])
 
 
 def test_bitmask_bounds_checked():
-    with pytest.raises(MathPreconditionError):
-        KSubset(3, 1 << 3)
+    # a hypergraph refuses masks outside [n] and masks of the wrong size
+    with pytest.raises(MathPreconditionError, match=r"edge \{1,4\} does not live"):
+        UniformHypergraph(3, 2, (0b11, 0b1001))
+    with pytest.raises(MathPreconditionError, match=r"edge \{1,2,3\} does not live"):
+        UniformHypergraph(4, 2, (0b11, 0b111))
+    with pytest.raises(MathPreconditionError, match="does not live"):
+        UniformHypergraph(4, 2, (-1,))
+    with pytest.raises(MathPreconditionError, match=r"repeated edge \{1,2\}"):
+        UniformHypergraph(4, 2, (0b11, 0b11))
 
 
-def test_replace_swaps_one_element():
-    s = KSubset.from_elements(5, [2, 4])
-    assert s.replace(4, 1).elements() == (1, 2)
-    with pytest.raises(MathPreconditionError):
-        s.replace(3, 1)  # 3 not present
-    with pytest.raises(MathPreconditionError):
-        s.replace(4, 2)  # 2 already present
-
-
-def test_lex_compare_matches_tuple_order_exhaustive():
-    # the smaller set owns the smallest element of the symmetric difference;
-    # on equal-size sets this coincides with tuple comparison of the sorted
+def test_hypergraph_lex_check_matches_tuple_order_exhaustive():
+    # the constructor sorts a pair exactly when the least bit of a ^ b lies
+    # in b; on equal-size sets lex order is tuple comparison of the sorted
     # element lists, which is the oracle used here
     for n in range(1, 7):
         for k in range(0, n + 1):
             subsets = k_subsets(n, k)
-            for a, b in itertools.product(subsets, repeat=2):
-                want = (a.elements() > b.elements()) - (a.elements() < b.elements())
-                assert lex_compare(a, b) == want
-                assert (a < b) == (want < 0)
-                assert (a <= b) == (want <= 0)
+            for a, b in itertools.permutations(subsets, 2):
+                h = UniformHypergraph(n, k, (a, b))
+                want = (a, b) if subset_elements(a) < subset_elements(b) else (b, a)
+                assert h.edges == want
 
 
 def test_k_subsets_enumeration_is_lex_sorted():
@@ -84,14 +86,15 @@ def test_k_subsets_enumeration_is_lex_sorted():
         for k in range(0, n + 1):
             subsets = k_subsets(n, k)
             assert len(subsets) == comb(n, k)
-            assert list(subsets) == sorted(subsets, key=lambda s: s.elements())
+            assert all(type(s) is int and s.bit_count() == k for s in subsets)
+            assert list(subsets) == sorted(subsets, key=subset_elements)
 
 
 def test_rank_unrank_round_trip():
     for n in range(0, 8):
         for k in range(0, n + 1):
             for r, s in enumerate(k_subsets(n, k)):
-                assert subset_rank(s) == r
+                assert subset_rank(n, s) == r
                 assert subset_unrank(n, k, r) == s
     with pytest.raises(MathPreconditionError):
         subset_unrank(4, 2, comb(4, 2))
@@ -102,13 +105,13 @@ def test_dominates_matches_counting_oracle():
     # threshold v, sigma has at least as many elements <= v as tau
     for a, b in itertools.product(k_subsets(5, 3), repeat=2):
         want = all(
-            sum(1 for x in a.elements() if x <= v)
-            >= sum(1 for y in b.elements() if y <= v)
+            sum(1 for x in subset_elements(a) if x <= v)
+            >= sum(1 for y in subset_elements(b) if y <= v)
             for v in range(1, 6)
         )
         assert dominates(a, b) == want
     with pytest.raises(MathPreconditionError):
-        dominates(KSubset.from_elements(4, [1]), KSubset.from_elements(4, [1, 2]))
+        dominates(subset_mask(4, [1]), subset_mask(4, [1, 2]))
 
 
 # ------------------------------------------------------ UniformHypergraph
@@ -116,12 +119,14 @@ def test_dominates_matches_counting_oracle():
 
 def test_hypergraph_sorts_and_validates_edges():
     h = UniformHypergraph.from_edges(4, 2, [[2, 3], [1, 2]])
+    assert h.edges == (0b11, 0b110)
     assert h.edge_lists() == [[1, 2], [2, 3]]
     assert h.m == 2
-    with pytest.raises(MathPreconditionError):
-        UniformHypergraph.from_edges(4, 2, [[1, 2], [2, 1]])  # repeated edge
-    with pytest.raises(MathPreconditionError):
-        UniformHypergraph.from_edges(4, 2, [[1, 2, 3]])  # wrong size
+    assert repr(h) == "UniformHypergraph(n=4, k=2, [{1,2}, {2,3}])"
+    with pytest.raises(MathPreconditionError, match=r"repeated edge \{1,2\}"):
+        UniformHypergraph.from_edges(4, 2, [[1, 2], [2, 1]])
+    with pytest.raises(MathPreconditionError, match=r"edge \{1,2,3\} is not a 2-subset"):
+        UniformHypergraph.from_edges(4, 2, [[1, 2, 3]])
 
 
 def test_hypergraph_sorts_unsorted_edges():
@@ -129,14 +134,14 @@ def test_hypergraph_sorts_unsorted_edges():
     lex = k_subsets(6, 3)
     for _ in range(200):
         edges = gen.sample(lex, gen.randint(2, len(lex)))
-        if list(edges) == sorted(edges, key=lambda s: s.elements()):
+        if list(edges) == sorted(edges, key=subset_elements):
             continue
         h = UniformHypergraph(6, 3, tuple(edges))
-        assert [e.elements() for e in h.edges] == sorted(e.elements() for e in edges)
+        assert list(map(subset_elements, h.edges)) == sorted(map(subset_elements, edges))
     with pytest.raises(MathPreconditionError):
         UniformHypergraph(6, 3, (lex[5], lex[0], lex[5]))  # repeated edge
     with pytest.raises(MathPreconditionError):
-        UniformHypergraph(6, 3, (lex[5], KSubset.from_elements(7, (1, 2, 3))))  # foreign
+        UniformHypergraph(6, 3, (lex[5], subset_mask(7, (1, 2, 7))))  # foreign
 
 
 def test_hypergraph_keeps_edges_given_in_lex_order(monkeypatch):
@@ -145,8 +150,10 @@ def test_hypergraph_keeps_edges_given_in_lex_order(monkeypatch):
     families = [tuple(s for s in lex if gen.random() < 0.5) for _ in range(50)]
     # sorted input is checked pairwise on bitmasks and never re-sorted
     sort_keys = []
-    elements = KSubset.elements
-    monkeypatch.setattr(KSubset, "elements", lambda s: sort_keys.append(s) or elements(s))
+    elements = combstruct.subset_elements
+    monkeypatch.setattr(
+        combstruct, "subset_elements", lambda s: sort_keys.append(s) or elements(s)
+    )
     for edges in families:
         h = UniformHypergraph(6, 3, edges)
         assert h.edges == edges
@@ -157,7 +164,7 @@ def test_hypergraph_keeps_edges_given_in_lex_order(monkeypatch):
     with pytest.raises(MathPreconditionError):
         UniformHypergraph(6, 3, (lex[0], lex[0]))  # repeated edge
     with pytest.raises(MathPreconditionError):
-        UniformHypergraph(6, 3, (lex[0], KSubset.from_elements(6, (1, 2))))  # wrong size
+        UniformHypergraph(6, 3, (lex[0], subset_mask(6, (1, 2))))  # wrong size
 
 
 def test_hypergraph_lex_compare_symdiff_oracle():
@@ -168,11 +175,11 @@ def test_hypergraph_lex_compare_symdiff_oracle():
         eb = gen.sample(subsets, gen.randint(0, len(subsets)))
         a = UniformHypergraph(5, 2, tuple(ea))
         b = UniformHypergraph(5, 2, tuple(eb))
-        sym = set(s.elements() for s in ea) ^ set(s.elements() for s in eb)
+        sym = set(map(subset_elements, ea)) ^ set(map(subset_elements, eb))
         if not sym:
             want = 0
         else:
-            want = -1 if min(sym) in {s.elements() for s in ea} else 1
+            want = -1 if min(sym) in set(map(subset_elements, ea)) else 1
         assert hypergraph_lex_compare(a, b) == want
     with pytest.raises(MathPreconditionError):
         hypergraph_lex_compare(
@@ -182,10 +189,10 @@ def test_hypergraph_lex_compare_symdiff_oracle():
 
 
 def _is_shifted_bruteforce(h: UniformHypergraph) -> bool:
-    present = {e.elements() for e in h.edges}
+    present = set(h.edges)
     for e in h.edges:
         for cand in k_subsets(h.n, h.k):
-            if dominates(cand, e) and cand.elements() not in present:
+            if dominates(cand, e) and cand not in present:
                 return False
     return True
 

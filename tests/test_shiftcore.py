@@ -1,5 +1,6 @@
 """Core shifting: compounds, exterior and partial shifts, Bruhat cells."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -60,6 +61,7 @@ from shiftlab import (
     random_complexes,
     shift_complex,
     shift_complex_all_cells,
+    subset_elements,
     vandermonde_matrix,
 )
 from shiftlab import reproduce, shiftcore
@@ -68,6 +70,16 @@ from shiftlab.field import ProfileState
 
 def _hg(n, k, edges):
     return UniformHypergraph.from_edges(n, k, edges)
+
+
+def _compound_minors(mat, S):
+    return [
+        [
+            int(frac_minor(mat, [i - 1 for i in subset_elements(e)], [j - 1 for j in cols]))
+            for cols in map(subset_elements, k_subsets(S.n, S.k))
+        ]
+        for e in S.edges
+    ]
 
 
 def _all_hypergraphs(n, k, ms):
@@ -111,8 +123,8 @@ def test_compound_entries_are_minors():
     for r, edge in enumerate(S.edges):
         for c, col in enumerate(comp.columns):
             sub = [
-                [g.entries[i - 1][j - 1] for j in col.elements()]
-                for i in edge.elements()
+                [g.entries[i - 1][j - 1] for j in subset_elements(col)]
+                for i in subset_elements(edge)
             ]
             assert comp.rows[r][c] == _leibniz_det(sub)
 
@@ -174,10 +186,10 @@ def test_wedge_rows_share_prefixes_and_skip_zero_entries():
         assert wedges == [shiftcore._wedge_rows(mat, [e], dom)[0] for e in S.edges]
         alone += len(products)
         for edge, wedge in zip(S.edges, wedges):
-            rows = [i - 1 for i in edge.elements()]
+            rows = [i - 1 for i in subset_elements(edge)]
             for col in k_subsets(n, k):
-                minor = frac_minor(mat, rows, [j - 1 for j in col.elements()])
-                assert wedge.get(col.bits, 0) % 101 == minor % 101
+                minor = frac_minor(mat, rows, [j - 1 for j in subset_elements(col)])
+                assert wedge.get(col, 0) % 101 == minor % 101
     # edges of a layer in lex order wedge each shared prefix once
     assert together < alone
 
@@ -204,12 +216,7 @@ def test_exterior_shift_matches_fraction_oracle_on_concrete_matrices():
         subsets = list(itertools.combinations(range(1, n + 1), k))
         S = _hg(n, k, gen.sample(subsets, gen.randint(1, min(4, len(subsets)))))
         mat = random_invertible(n, gen, bound=4)
-        minors = [
-            [frac_minor(mat, [i - 1 for i in e.elements()], [j - 1 for j in c.elements()])
-             for c in k_subsets(n, k)]
-            for e in S.edges
-        ]
-        _, pivots = frac_pivots(minors)
+        _, pivots = frac_pivots(_compound_minors(mat, S))
         want = UniformHypergraph(n, k, tuple(k_subsets(n, k)[j] for j in pivots))
         g = matrix_from_entries(mat)
         for ctx in (SYM, RND):
@@ -226,12 +233,7 @@ def test_exterior_shift_matches_oracle_in_characteristic_p():
             mat = random_invertible(n, gen, bound=3)
             if frac_pivots_mod([row[:] for row in mat], p)[0][-1] < n:
                 continue  # singular after reduction; a different matrix next time
-            minors = [
-                [int(frac_minor(mat, [i - 1 for i in e.elements()], [j - 1 for j in c.elements()]))
-                 for c in k_subsets(n, 2)]
-                for e in S.edges
-            ]
-            _, pivots = frac_pivots_mod(minors, p)
+            _, pivots = frac_pivots_mod(_compound_minors(mat, S), p)
             want = UniformHypergraph(n, 2, tuple(k_subsets(n, 2)[j] for j in pivots))
             g = matrix_from_entries(mat)
             assert exterior_shift(g, S, ctx_sym) == want
@@ -274,7 +276,7 @@ def test_profile_shape_and_pivot_consistency():
 
 def test_profile_of_layers_that_shift_to_themselves():
     # the rank sequence of an empty or complete layer is read off its edges
-    empty, complete = UniformHypergraph(4, 2, ()), _hg(4, 2, k_subsets(4, 2))
+    empty, complete = UniformHypergraph(4, 2, ()), UniformHypergraph(4, 2, k_subsets(4, 2))
     plain = matrix_from_entries([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [3, 0, 0, 1]])
     for g in (generic_matrix(4), plain):  # no elimination, then elimination
         for ctx in (SYM, RND, RND2):
@@ -374,15 +376,15 @@ def test_fingerprints_distinguish_matrices():
 
 def _comb_shift_oracle(S, i, j):
     """Replace j by i in every edge whose image is not already present."""
-    present = {e.elements() for e in S.edges}
+    present = {subset_elements(e) for e in S.edges}
     out = []
     for e in S.edges:
-        elems = set(e.elements())
+        elems = set(subset_elements(e))
         if j in elems and i not in elems:
             image = tuple(sorted((elems - {j}) | {i}))
-            out.append(image if image not in present else e.elements())
+            out.append(image if image not in present else subset_elements(e))
         else:
-            out.append(e.elements())
+            out.append(subset_elements(e))
     return UniformHypergraph.from_edges(S.n, S.k, out)
 
 
@@ -398,6 +400,14 @@ def test_combinatorial_shift_matches_replacement_oracle_exhaustive():
             assert got == _comb_shift_oracle(S, a, b)
             assert got.m == S.m
             assert combinatorial_shift(got, t) == got  # idempotent
+
+
+def test_combinatorial_shift_replaces_one_element():
+    # (1 4) trades 4 for 1 in {2,4}; {1,4} holds both and {2,3} neither, and
+    # {3,4} stays because its image {1,3} is already an edge
+    S = _hg(5, 2, [[2, 4], [1, 4], [2, 3], [3, 4], [1, 3]])
+    shifted = combinatorial_shift(S, Permutation.transposition(5, 1, 4))
+    assert shifted.edge_lists() == [[1, 2], [1, 3], [1, 4], [2, 3], [3, 4]]
 
 
 def test_combinatorial_shift_requires_a_transposition():
@@ -684,6 +694,31 @@ def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
 RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
 
 
+def test_randomized_call_tags_are_pinned(monkeypatch):
+    # a different tag draws a different point, and the shift is the same
+    # with probability >= 1 - eps either way, so no output shows a change of
+    # tag: the tags of a partial shift, of all cells and of a complex shift
+    # at char 2 and seed 201 are pinned here
+    tags = []
+    sample = shiftcore.sample_eval_point
+    monkeypatch.setattr(
+        shiftcore, "sample_eval_point", lambda *a: tags.append(a[4]) or sample(*a)
+    )
+    shiftcore._partial_shift_cached.cache_clear()
+    ctx = make_field_context(2, Backend.RANDOMIZED, seed=201)
+    partial_shift(RP2_TOP, Permutation.longest(6), ctx)
+    all_partial_shifts([RP2_TOP], ctx)
+    shift_complex(SimplicialComplex.from_facets(6, RP2_FACETS), Permutation.cycle(6), ctx)
+    shift_tag, cells_tag, complex_tag = tags
+    assert hashlib.sha256(shift_tag.encode()).hexdigest() == (
+        "d92ed89960128ae9d52e11a9c8cf7d745b40eac233bb4505e2ecdfb9ab81fa1b"
+    )
+    assert cells_tag == "all_cells:6:[(3, (19, 35, 13, 21, 41, 14, 38, 26, 52, 56))]"
+    assert hashlib.sha256(complex_tag.encode()).hexdigest() == (
+        "41af3f99dad14db17b56abecdfe44efda062f703f7a9a80d771222050ea28802"
+    )
+
+
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
     # the full symbolic shift at n=6, k=3, m=10: every Bareiss step over
@@ -696,7 +731,7 @@ def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
     # the first nine 3-sets, then {1,5,6}; over GF(2) the torsion of RP^2
     # shows as {2,3,4} in its place
     last = [2, 3, 4] if char == 2 else [1, 5, 6]
-    first_nine = [list(e.elements()) for e in k_subsets(6, 3)[:9]]
+    first_nine = [list(subset_elements(e)) for e in k_subsets(6, 3)[:9]]
     assert shifted.edge_lists() == first_nine + [last]
 
 
@@ -757,7 +792,7 @@ def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
     assert len(variables) == 6 and attempt == 0
     assert size == math.ceil(2 * (24 + 4) / RND2.epsilon)
     # empty and complete layers shift to themselves without a point
-    empty, complete = UniformHypergraph(4, 2, ()), _hg(4, 3, k_subsets(4, 3))
+    empty, complete = UniformHypergraph(4, 2, ()), UniformHypergraph(4, 3, k_subsets(4, 3))
     assert all(
         images == [empty, complete]
         for images in all_partial_shifts((empty, complete), RND).values()
@@ -796,16 +831,6 @@ def _domains_of_shifts(monkeypatch) -> list:
 
     monkeypatch.setattr(shiftcore, "lex_first_bases", spy)
     return domains
-
-
-def _compound_minors(mat, S):
-    return [
-        [
-            int(frac_minor(mat, [i - 1 for i in e.elements()], [j - 1 for j in c.elements()]))
-            for c in k_subsets(S.n, S.k)
-        ]
-        for e in S.edges
-    ]
 
 
 def test_char0_prime_keeps_a_minor_with_small_prime_content(monkeypatch):
@@ -898,7 +923,7 @@ def test_randomized_backend_never_eliminates_over_the_integers(monkeypatch):
     assert counts[Backend.SYMBOLIC] > 0
     # ranks over Q run modulo a Mersenne prime too
     domains.clear()
-    rp2 = SimplicialComplex.from_facets(6, [e.elements() for e in RP2_TOP.edges])
+    rp2 = SimplicialComplex.from_facets(6, RP2_TOP.edge_lists())
     assert betti_numbers(rp2, 0).values == (1, 0, 0)
     assert matrix_rank([[2, 4, 1], [1, 2, 3]]) == 2
     w3, b = Permutation((2, 3, 1)), [[2, 1, 5], [0, 3, -1], [0, 0, 1]]
