@@ -1085,7 +1085,8 @@ class ProfileState:
 
     Feed columns left to right with ``offer``; it answers whether the column
     increased the rank.  Its pivot is its first nonzero row once the earlier
-    pivots are eliminated from it.
+    pivots are eliminated from it, so a caller chooses the pivots by the
+    order of its rows, which changes no rank.
 
     Over a domain that is not a field, the polynomial ring of the symbolic
     backend, the update is fraction-free Bareiss against dense pivots

@@ -33,11 +33,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .combstruct import UniformHypergraph, k_subsets, subset_elements
-from .errors import (
-    InternalError,
-    MathPreconditionError,
-    MatrixNotInvertibleError,
-)
+from .errors import MathPreconditionError, MatrixNotInvertibleError
 from .field import (
     Backend,
     EvalPoint,
@@ -485,6 +481,28 @@ def _shift_families(
     with the budget summed over all layers on the randomized backend, the
     only reader of ``tag`` (the symbolic backend may pass None).  Each
     remaining layer must then keep one column per edge in every order.
+
+    The rows of ``M_S`` enter elimination in reverse lex order of their
+    edges.  This changes no result:
+
+    - A kept set records only which column prefixes are independent, and
+      permuting the rows changes no rank, so every mask is the one lex
+      order gives, on both backends; the tags, and so the points, do not
+      depend on the row order.
+    - A minor of the permuted rows is +- a minor of the rows.  So the
+      polynomials that ``_evaluation_bounds`` budgets are the same up to
+      sign, and by Sylvester's identity every Bareiss intermediate is still
+      a minor of order at most m, within ``_symbolic_ring``'s degree bound.
+
+    The row order chooses the pivots, because ``ProfileState`` pivots on
+    the first nonzero live row.  For g = U . P_w with U upper
+    unitriangular, every column of ``M_S`` is +- a column sigma of
+    compound(U), which is zero at each edge rho not below sigma in Gale
+    order (rho_i <= sigma_i for each i) and 1 at rho = sigma.  Reversed,
+    its first nonzero row is the lex-last edge below sigma, sigma itself
+    when it is an edge of S, and not the lex-first one, the farthest from
+    the diagonal, whose fill-in every later offer would pay for (Markowitz,
+    Management Sci. 3, 1957).
     """
     if any(S.n != g.n for S in layers):
         raise MathPreconditionError("matrix and hypergraph sizes differ")
@@ -513,7 +531,7 @@ def _shift_families(
             continue
         columns = k_subsets(S.n, S.k)
         wedges = _wedge_rows(entries, S.edges, dom)
-        matrix = [[row.get(col, zero) for row in wedges] for col in columns]
+        matrix = [[row.get(col, zero) for row in reversed(wedges)] for col in columns]
         families: dict[int, UniformHypergraph] = {}
         shifted = []
         for kept in lex_first_bases(matrix, S.m, dom, column_orders(S.n, S.k)):
@@ -724,7 +742,4 @@ def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergra
         # an edge holding j but not i trades j for i
         moved = edge ^ swap
         out.append(moved if edge & swap == bit_j and moved not in present else edge)
-    result = UniformHypergraph(S.n, S.k, tuple(out))
-    if result.m != S.m:
-        raise InternalError("combinatorial shift changed the edge count")
-    return result
+    return UniformHypergraph(S.n, S.k, tuple(out))

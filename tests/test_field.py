@@ -983,3 +983,75 @@ def test_sparse_bareiss_merges_a_run_of_zero_factors(char, monkeypatch):
         ([4, 5], pivs[3], ring.one),
         ([3, 4, 5], pivs[2], ring.one),
     ]
+
+
+ROW_ORDER_DOMAINS = {
+    "5": PrimeField(5),
+    "mersenne61": PrimeField(2**61 - 1),
+    "gf2e": gf_extension(2, 2**8),
+    "gf3e": gf_extension(3, 3**3),
+    # entries of degree at most 3 on up to 10 rows (see PolynomialRing)
+    "poly": PolynomialRing(0, [(1, 1), (1, 2), (2, 1), (2, 2)], 2 * 10 * 3),
+}
+
+
+def _row_order_columns(gen, dom, nrows):
+    """Sparse columns over ``dom`` with two columns and one row that are
+    combinations of others, so that decisions hinge on exact zeros."""
+    if dom.is_field:
+
+        def nonzero():
+            return dom.sample(gen.randrange(1, dom.size))
+
+        density = gen.choice([0.25, 0.5, 0.75])
+        columns = [
+            [nonzero() if gen.random() < density else dom.zero for _ in range(nrows)]
+            for _ in range(gen.randint(2, 9))
+        ]
+    else:
+        ncols = gen.randint(2, 5)
+        columns = [_sparse_polynomial_column(gen, dom, nrows) for _ in range(ncols)]
+
+        def nonzero():
+            return dom.pack(MultiPoly.variable(gen.randint(1, 2), gen.randint(1, 2)))
+
+    base = len(columns)
+    for _ in range(2):
+        x, y = gen.sample(range(base), 2)
+        a, b = nonzero(), nonzero()
+        columns.append(
+            [
+                dom.add(dom.mul(a, u), dom.mul(b, v))
+                for u, v in zip(columns[x], columns[y])
+            ]
+        )
+    if nrows >= 3:
+        target, x, y = gen.sample(range(nrows), 3)
+        for column in columns:
+            column[target] = dom.add(column[x], column[y])
+    return columns
+
+
+@pytest.mark.parametrize("name", list(ROW_ORDER_DOMAINS))
+def test_lex_first_bases_do_not_depend_on_the_row_order(name):
+    # a shift feeds the compound rows in reverse lex order to choose its
+    # pivots: every row order keeps the same columns, in every column order
+    dom = ROW_ORDER_DOMAINS[name]
+    gen = rng(f"row-order-{name}")
+    for nrows in range(1, 11):
+        for _ in range(3):
+            columns = _row_order_columns(gen, dom, nrows)
+            orders = _shuffled_orders(gen, len(columns), 3)
+            want = lex_first_bases(columns, nrows, dom, orders)
+            if nrows <= 4:
+                perms = list(itertools.permutations(range(nrows)))
+            else:
+                perms = [range(nrows - 1, -1, -1)]
+                for _ in range(5):
+                    perm = list(range(nrows))
+                    gen.shuffle(perm)
+                    perms.append(perm)
+            for perm in perms:
+                permuted = [[column[i] for i in perm] for column in columns]
+                got = lex_first_bases(permuted, nrows, dom, orders)
+                assert got == want, (nrows, perm)

@@ -65,7 +65,7 @@ from shiftlab import (
     vandermonde_matrix,
 )
 from shiftlab import reproduce, shiftcore
-from shiftlab.field import ProfileState
+from shiftlab.field import PolynomialRing, ProfileState
 
 
 def _hg(n, k, edges):
@@ -733,6 +733,28 @@ def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
     last = [2, 3, 4] if char == 2 else [1, 5, 6]
     first_nine = [list(subset_elements(e)) for e in k_subsets(6, 3)[:9]]
     assert shifted.edge_lists() == first_nine + [last]
+
+
+@pytest.mark.parametrize("char, most", [(0, 30_000), (2, 60_000)])
+def test_symbolic_w0_shift_of_rp2_top_layer_pivots_near_the_diagonal(
+    monkeypatch, char, most
+):
+    # the compound rows enter elimination in reverse lex order, so a column
+    # pivots on the lex-last edge below it in Gale order; fed in lex order,
+    # the same shift multiplies 310,100 term pairs in char 0 and 567,533 in
+    # char 2
+    pairs, mul = [0], PolynomialRing.mul
+
+    def counting_mul(ring, a, b):
+        pairs[0] += len(a) * len(b)
+        return mul(ring, a, b)
+
+    monkeypatch.setattr(PolynomialRing, "mul", counting_mul)
+    w0 = Permutation.longest(6)
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], None, sym)
+    assert shifted.m == RP2_TOP.m
+    assert 0 < pairs[0] < most
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])

@@ -343,10 +343,15 @@ def test_symbolic_and_randomized_graphs_agree():
 RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
 
 
-def test_symbolic_and_randomized_node_expansion_agree_on_rp2_top_layer():
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_symbolic_and_randomized_node_expansion_agree_on_rp2_top_layer(char):
     # all 719 non-identity cells of one node: the symbolic backend shifts
-    # cell by cell, the randomized one reads every cell off one point
-    sym = shiftgraph._shift_edges_of(RP2_TOP, make_field_context(0, Backend.SYMBOLIC))
-    rnd = shiftgraph._shift_edges_of(RP2_TOP, RND)
-    assert sym == rnd
-    assert sum(len(ws) for ws in rnd.values()) == 719  # every other cell moves it
+    # cell by cell, the randomized one reads every cell off one point; over
+    # GF(2) no cell reaches the char-0 target ending in {1,5,6}: the torsion
+    # of RP^2 shows
+    sym = make_field_context(char, Backend.SYMBOLIC)
+    rnd = make_field_context(char, Backend.RANDOMIZED, seed=0)
+    expanded = shiftgraph._shift_edges_of(RP2_TOP, rnd)
+    assert shiftgraph._shift_edges_of(RP2_TOP, sym) == expanded
+    assert len(expanded) == (62 if char == 2 else 63)
+    assert sum(len(ws) for ws in expanded.values()) == 719  # every other cell moves it
