@@ -109,12 +109,23 @@ class GenericMatrix:
 
     @cached_property
     def degree_bound(self) -> int:
-        """Maximum total degree of any entry (recomputed, never trusted)."""
+        """Maximum total degree of any entry.
+
+        This, ``variables`` and ``coefficient_norm`` walk the entries, except
+        that ``cell_representative`` supplies all three from w, which
+        ``test_cell_representative_supplies_what_a_walk_finds`` checks.
+        """
         return max(entry.degree() for row in self.entries for entry in row)
 
     @cached_property
     def variables(self) -> frozenset:
+        """The variables of the entries (see ``degree_bound``)."""
         return frozenset().union(*(e.variables() for row in self.entries for e in row))
+
+    @cached_property
+    def coefficient_norm(self) -> int:
+        """Largest coefficient 1-norm of any entry."""
+        return max(sum(map(abs, e.terms.values())) for row in self.entries for e in row)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -172,26 +183,14 @@ def generic_unipotent(n: int) -> GenericMatrix:
 
 def cell_unipotent(w: Permutation) -> GenericMatrix:
     """Identity plus a variable at each inversion position of w."""
-    inv = w.inversions()
-    n = w.n
-    rows = [
-        [
-            MultiPoly.variable(i, j)
-            if (i, j) in inv
-            else MultiPoly.const(1 if i == j else 0)
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
+    inv, r, x = w.inversions(), range(1, w.n + 1), MultiPoly.variable
+    rows = [[x(i, j) if (i, j) in inv else int(i == j) for j in r] for i in r]
     return matrix_from_entries(rows, unit_determinant=True)
 
 
 def permutation_matrix(w: Permutation) -> GenericMatrix:
     """0/1 matrix with a 1 in row i at column i.w."""
-    n = w.n
-    rows = [
-        [1 if w.apply(i) == j else 0 for j in range(1, n + 1)] for i in range(1, n + 1)
-    ]
+    rows = [[int(image == j) for j in range(1, w.n + 1)] for image in w.images]
     return matrix_from_entries(rows, unit_determinant=True)
 
 
@@ -199,17 +198,17 @@ def cell_representative(w: Permutation) -> GenericMatrix:
     """Canonical Bruhat-cell representative: cell unipotent times w.
 
     Row i carries a 1 at column i.w and a variable x_{ij} at column j.w for
-    every inversion (i, j) of w.  Shifting by this matrix realizes the
-    partial shift associated with w.
+    every inversion (i, j) of w, so w gives the degree bound, variables and
+    1-norm without a walk.  Shifting by it realizes w's partial shift.
     """
-    n = w.n
-    inv = w.inversions()
-    rows = [[MultiPoly.const(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        rows[i - 1][w.apply(i) - 1] = MultiPoly.const(1)
+    n, images, inv = w.n, w.images, w.inversions()
+    zero, one = MultiPoly.zero(), MultiPoly.const(1)
+    rows = [[one if j == image else zero for j in range(1, n + 1)] for image in images]
     for i, j in inv:
-        rows[i - 1][w.apply(j) - 1] = MultiPoly.variable(i, j)
-    return matrix_from_entries(rows, unit_determinant=True)
+        rows[i - 1][images[j - 1] - 1] = MultiPoly.variable(i, j)
+    g = GenericMatrix(n, tuple(map(tuple, rows)), unit_determinant=True)
+    vars(g).update(degree_bound=int(bool(inv)), variables=inv, coefficient_norm=1)
+    return g
 
 
 def combinatorial_shift_matrix(t: Permutation) -> GenericMatrix:
@@ -272,10 +271,29 @@ def matrix_product(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
 
 
 def evaluate_matrix(g: GenericMatrix, point: EvalPoint) -> list[list]:
-    return [
-        [entry.evaluate(point.assignment, point.domain) for entry in row]
-        for row in g.entries
-    ]
+    """g's entries at the point, each what ``MultiPoly.evaluate`` returns.
+
+    Zeros, constants and lone variables with coefficient 1 skip the walk:
+    the assigned values lie in the point's domain, which a product with 1
+    and a sum with 0 leave as they are.
+    """
+    assignment, dom = point.assignment, point.domain
+    out = []
+    for row in g.entries:
+        out.append(values := [])
+        for entry in row:
+            terms = entry.terms
+            if len(terms) != 1:
+                values.append(entry.evaluate(assignment, dom) if terms else dom.zero)
+                continue
+            ((mono, c),) = terms.items()
+            if not mono:
+                values.append(dom.from_int(c))
+            elif c == 1 and len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in assignment:
+                values.append(assignment[mono[0][0]])
+            else:
+                values.append(entry.evaluate(assignment, dom))
+    return out
 
 
 # ------------------------------------------------------------- compounds
@@ -289,19 +307,21 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[int], domain):
     tau ends up being the minor with rows ``edge`` (ascending) and columns
     tau (ascending), so one pass yields a whole compound row.  Each row's
     nonzero entries are listed once per matrix, and a step walks only
-    those.  An edge that shares a prefix with the edge before it starts
+    those; an entry equal to ``domain.one`` passes the coefficient on, with
+    no product.  An edge that shares a prefix with the edge before it starts
     from that prefix's partial wedge, so a layer in lex order wedges in
     each prefix once.  The steps and their order are those of a separate
     pass per edge, so every coefficient is the same.
     """
     is_zero, mul, neg, add = domain.is_zero, domain.mul, domain.neg, domain.add
-    # (column bit, shift to the columns after it, entry)
+    one = domain.one
+    # (column bit, shift to the columns after it, entry, whether it is 1)
     support = [
-        [(1 << j, j + 1, entry) for j, entry in enumerate(row) if not is_zero(entry)]
+        [(1 << j, j + 1, e, e == one) for j, e in enumerate(row) if not is_zero(e)]
         for row in matrix_rows
     ]
     # states[t] is the wedge of the first t rows of the edge before
-    states = [{0: domain.one}]
+    states = [{0: one}]
     before: tuple[int, ...] = ()
     out = []
     for edge in edges:
@@ -315,10 +335,10 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[int], domain):
             for mask, coeff in states[-1].items():
                 if is_zero(coeff):
                     continue
-                for bit, shift, entry in support[v - 1]:
+                for bit, shift, entry, unit in support[v - 1]:
                     if mask & bit:
                         continue
-                    term = mul(coeff, entry)
+                    term = coeff if unit else mul(coeff, entry)
                     if (mask >> shift).bit_count() & 1:
                         term = neg(term)
                     new_mask = mask | bit
@@ -393,21 +413,21 @@ def _evaluation_bounds(
       point is a zero of one of them with probability at most epsilon.
     - In characteristic 0 the point lies in GF(p) for the Mersenne prime p
       that ``field.choose_field`` picks above B and C.  Let c be the largest
-      coefficient 1-norm of an entry of g (c = 1 for U and the cell
-      representatives).  A k x k minor of g has 1-norm at most k! * c^k, a
-      minor of order at most m of a pending layer's compound rows at most
-      m! * (k! * c^k)^m, and det g at most n! * c^n; C is the largest of
-      these.  p > C, so no coefficient of a decided polynomial P is a
-      nonzero multiple of p, and P mod p is nonzero whenever P is.  p > B,
-      so [1, B] lies in GF(p) as it is, and the bound above holds over GF(p)
-      with no further failure term.  For a constant g the decisions are
-      exact.
+      coefficient 1-norm of an entry of g, ``g.coefficient_norm``, or 1 if
+      that is 0 (c = 1 for U and the cell representatives).  A k x k minor
+      of g has 1-norm at most k! * c^k, a minor of order at most m of a
+      pending layer's compound rows at most m! * (k! * c^k)^m, and det g at
+      most n! * c^n; C is the largest of these.  p > C, so no coefficient
+      of a decided polynomial P is a nonzero multiple of p, and P mod p is
+      nonzero whenever P is.  p > B, so [1, B] lies in GF(p) as it is, and
+      the bound above holds over GF(p) with no further failure term.  For a
+      constant g the decisions are exact.
     """
     degree = max(1, g.degree_bound)
     budget = sum(
         max(1, S.k * degree) * max(1, S.m) * len(k_subsets(S.n, S.k)) for S in layers
     )
-    c = max(1, max(sum(map(abs, e.terms.values())) for row in g.entries for e in row))
+    c = max(1, g.coefficient_norm)
     fact = math.factorial
     coeffs = max(
         [fact(g.n) * c**g.n] + [fact(S.m) * (fact(S.k) * c**S.k) ** S.m for S in pending]
@@ -515,7 +535,8 @@ def _shift_families(
     pending = [S for S, is_fixed in zip(layers, fixed) if not is_fixed]
     if ctx.backend is Backend.SYMBOLIC:
         dom = _symbolic_ring(g, pending, ctx.characteristic.value)
-        entries = [[dom.pack(e) for e in row] for row in g.entries]
+        pack, zero = dom.pack, dom.zero
+        entries = [[pack(e) if e.terms else zero for e in row] for row in g.entries]
         if not g.symbolically_invertible and matrix_rank(entries, dom) < g.n:
             raise MatrixNotInvertibleError(
                 "matrix is singular over the symbolic coefficient ring"
@@ -649,9 +670,8 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         preimage_bit = [0] * (n + 1)
         for i, image in enumerate(w.images):
             preimage_bit[image] = 1 << i
-        table.append(
-            tuple(index[sum(preimage_bit[c] for c in elems)] for elems in elements)
-        )
+        bits = preimage_bit.__getitem__
+        table.append(tuple([index[sum(map(bits, elems))] for elems in elements]))
     return tuple(table)
 
 

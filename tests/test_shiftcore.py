@@ -62,10 +62,11 @@ from shiftlab import (
     shift_complex,
     shift_complex_all_cells,
     subset_elements,
+    subset_mask,
     vandermonde_matrix,
 )
 from shiftlab import reproduce, shiftcore
-from shiftlab.field import PolynomialRing, ProfileState
+from shiftlab.field import EvalPoint, PolynomialRing, ProfileState, gf_extension
 
 
 def _hg(n, k, edges):
@@ -192,6 +193,66 @@ def test_wedge_rows_share_prefixes_and_skip_zero_entries():
                 assert wedge.get(col, 0) % 101 == minor % 101
     # edges of a layer in lex order wedge each shared prefix once
     assert together < alone
+
+
+def test_wedge_rows_pass_unit_entries_on_without_a_product():
+    # entries 1 and -1, zeros and larger values, on a matrix whose rows each
+    # hold a 1: compound rows are the minors over GF(5) and over the
+    # polynomial ring
+    mat = [
+        [1, 0, 2, 1, 0],
+        [3, 1, 0, -1, 1],
+        [0, 1, 1, 0, 4],
+        [1, -2, 0, 1, 1],
+        [0, 1, 7, 1, 1],
+    ]
+    for k in (2, 3):
+        S = _hg(5, k, list(itertools.combinations(range(1, 6), k))[::2])
+        minors = _compound_minors(mat, S)
+        wedges = shiftcore._wedge_rows(mat, S.edges, PrimeField(5))
+        cols = k_subsets(5, k)
+        assert [[w.get(c, 0) for c in cols] for w in wedges] == [
+            [m % 5 for m in row] for row in minors
+        ]
+        rows = compound_rows(matrix_from_entries(mat), S).rows
+        assert [list(row) for row in rows] == [
+            [MultiPoly.const(m) for m in row] for row in minors
+        ]
+    # with a variable beside the units, against the Leibniz expansion
+    x = MultiPoly.variable
+    g = matrix_from_entries([[1, x(1, 2), 0], [x(2, 1), 1, 1], [1, 0, x(3, 3)]])
+    S = _hg(3, 2, [[1, 2], [1, 3], [2, 3]])
+    for edge, row in zip(S.edges, compound_rows(g, S).rows):
+        for col, entry in zip(k_subsets(3, 2), row):
+            sub = [
+                [g.entries[i - 1][j - 1] for j in subset_elements(col)]
+                for i in subset_elements(edge)
+            ]
+            assert entry == _leibniz_det(sub)
+
+
+def test_wedge_rows_of_the_w0_representative_skip_unit_products(monkeypatch):
+    # every row of the w0 representative holds a 1; multiplying by it too,
+    # the wedge of the RP^2 top layer makes 235 ring products
+    calls, mul = [0], PolynomialRing.mul
+
+    def counting_mul(ring, a, b):
+        calls[0] += 1
+        return mul(ring, a, b)
+
+    g = cell_representative(Permutation.longest(6))
+    cols = k_subsets(6, 3)
+    for char in (0, 2):
+        dom = shiftcore._symbolic_ring(g, [RP2_TOP], char)
+        entries = [[dom.pack(e) for e in row] for row in g.entries]
+        calls[0] = 0
+        monkeypatch.setattr(PolynomialRing, "mul", counting_mul)
+        wedges = shiftcore._wedge_rows(entries, RP2_TOP.edges, dom)
+        monkeypatch.setattr(PolynomialRing, "mul", mul)
+        assert 0 < calls[0] < 140
+        assert [[dom.unpack(w.get(col, {})) for col in cols] for w in wedges] == [
+            [e.reduce_mod(char) for e in row] for row in compound_rows(g, RP2_TOP).rows
+        ]
 
 
 # --------------------------------------------------------- basic shifts
@@ -331,7 +392,8 @@ def test_cell_representative_structure():
     for w in all_permutations(4):
         rep = cell_representative(w)
         uni = cell_unipotent(w)
-        assert rep.variables == w.inversions() == uni.variables
+        walked = frozenset().union(*(e.variables() for row in rep.entries for e in row))
+        assert walked == w.inversions() == uni.variables
         assert len(rep.variables) == w.length()
         prod = matrix_product(uni, permutation_matrix(w))
         assert rep.entries == prod.entries
@@ -345,6 +407,51 @@ def test_cell_representative_structure():
         matrix_product(generic_unipotent(4), permutation_matrix(w0)).entries
         == cell_representative(w0).entries
     )
+
+
+def test_cell_representative_supplies_what_a_walk_finds():
+    # cell_representative states deg, variables and 1-norm from w; the same
+    # entries in a fresh matrix walk them
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            rep = cell_representative(w)
+            walked = shiftcore.GenericMatrix(n, rep.entries, unit_determinant=True)
+            assert "variables" not in vars(walked)
+            for name in ("degree_bound", "variables", "coefficient_norm"):
+                assert getattr(rep, name) == getattr(walked, name), (w, name)
+
+
+def _assignment(variables, dom, gen):
+    return {var: dom.sample(gen.randrange(dom.size)) for var in sorted(variables)}
+
+
+def test_evaluate_matrix_equals_multipoly_evaluate():
+    x = MultiPoly.variable
+    t = Permutation.transposition(4, 1, 3)
+    scaled = matrix_from_entries([[2, 0, 1], [0, -1, 0], [3, 0, 5]])
+    matrices = [cell_representative(w) for w in all_permutations(4)] + [
+        generic_matrix(3),
+        vandermonde_matrix(4),
+        combinatorial_shift_matrix(t),
+        matrix_product(generic_matrix(3), scaled),
+        matrix_from_entries([[2 * x(1, 1), -x(1, 2)], [x(2, 1) + 1, 7]]),
+    ]
+    gen = rng("evaluate-matrix")
+    domains = [PrimeField(2**61 - 1), gf_extension(2, 2**8, 1), gf_extension(3, 3**3, 1)]
+    assert [repr(d) for d in domains] == ["GF(2305843009213693951)", "GF(2^8)", "GF(3^3)"]
+    unassigned = [generic_matrix(2), matrix_product(generic_matrix(2), generic_matrix(2))]
+    for dom in domains:
+        for g in matrices:
+            point = EvalPoint(_assignment(g.variables, dom, gen), dom)
+            got = shiftcore.evaluate_matrix(g, point)
+            assert got == [
+                [e.evaluate(point.assignment, dom) for e in row] for row in g.entries
+            ]
+        # an unassigned variable is a precondition error, lone or not
+        for g in unassigned:
+            point = EvalPoint(_assignment(g.variables - {(2, 1)}, dom, gen), dom)
+            with pytest.raises(MathPreconditionError):
+                shiftcore.evaluate_matrix(g, point)
 
 
 def test_simple_cell_equals_combinatorial_shift_matrix():
@@ -689,6 +796,20 @@ def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
     # 20 calls, ask for the orders of (4, 1), (4, 2) and (4, 3)
     info = shiftcore._cell_column_orders.cache_info()
     assert (info.hits, info.misses, info.currsize) == (11, 3, 3)
+
+
+def test_cell_column_orders_map_each_column_by_the_preimage():
+    # entry t of w's row is the lex index of w^-1 applied to the t-th k-set
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            columns = k_subsets(n, k)
+            table = shiftcore._cell_column_orders.__wrapped__(n, k)
+            oracle = []
+            for w in all_permutations(n):
+                preimage = w.inverse().apply
+                images = [map(preimage, subset_elements(col)) for col in columns]
+                oracle.append(tuple(columns.index(subset_mask(n, e)) for e in images))
+            assert table == tuple(oracle), (n, k)
 
 
 RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
