@@ -15,17 +15,18 @@ points there, from a domain large enough for the Schwartz-Zippel bound (see
 ``shiftcore._evaluation_bounds``), and ranks over Q run there too, with a
 prime above Hadamard's bound on every minor (``rational_rank_field``).
 Randomized runs derive every sample from a SHA-256 counter stream keyed by
-(seed, call fingerprint, attempt), which makes results reproducible and
-independent of call order.  The modulus of GF(p^e) is the first candidate
-from a seeded stream that passes Ben-Or's irreducibility test, run in the
-candidate's own ring GF(p)[x]/(f) with the multiply and the inverse of the
-field it would define: a gcd with f is 1 exactly when the ring has an
-inverse.  Each element encoding has one extended Euclid, which cancels the
-remainder's leading term and updates its cofactor in the same step, and
-which reports a non-unit instead of an inverse.  GF(2^e) keeps one
-coefficient per slot of an int, a byte or two wide, so a product is three
-integer multiplies with Barrett's reduction, and its Euclid shifts and
-XORs the coefficient bits; GF(p^e) for odd p runs it on coefficient lists.
+the seed, the characteristic, the caller's key and the attempt, which makes
+results reproducible and independent of call order.  The modulus of
+GF(p^e) is the first candidate from a seeded stream that passes Ben-Or's
+irreducibility test, run in the candidate's own ring GF(p)[x]/(f) with the
+multiply and the inverse of the field it would define: a gcd with f is 1
+exactly when the ring has an inverse.  Each element encoding has one
+extended Euclid, which cancels the remainder's leading term and updates its
+cofactor in the same step, and which reports a non-unit instead of an
+inverse.  GF(2^e) keeps one coefficient per slot of an int, a byte or two
+wide, so a product is three integer multiplies with Barrett's reduction,
+and its Euclid shifts and XORs the coefficient bits; GF(p^e) for odd p runs
+it on coefficient lists.
 
 All scalars are plain Python data (ints, tuples of ints); each concrete
 domain is a small object bundling the ring operations for them.
@@ -1042,8 +1043,8 @@ class DeterministicStream:
 class EvalPoint:
     """A concrete substitution for the matrix indeterminates.
 
-    Reproducible from (seed, call fingerprint, attempt); the domain holds the
-    arithmetic the values live in.
+    A pure function of the arguments of ``sample_eval_point``; the domain
+    holds the arithmetic the values live in.
     """
 
     assignment: dict[Var, object]
@@ -1055,7 +1056,7 @@ def sample_eval_point(
     variables: Iterable[Var],
     size: int,
     coeff_bound: int,
-    call_tag: str,
+    key,
     attempt: int = 0,
 ) -> EvalPoint:
     """Draw a Schwartz-Zippel evaluation point for one randomized call.
@@ -1064,11 +1065,14 @@ def sample_eval_point(
     characteristic zero its values are uniform integers from [1, size],
     which that Mersenne prime field holds as they are; in characteristic p
     they are uniform elements of GF(p^e), p^e >= size.  The caller derives
-    both bounds from its error budget (see ``shiftcore._evaluation_bounds``).
+    both bounds from its error budget (see ``shiftcore._evaluation_bounds``),
+    and ``key``, any value with a stable ``repr``, names what it evaluates:
+    the values come from a stream keyed by (seed, characteristic, key,
+    attempt), so equal arguments give equal points in any process.
     """
     char = ctx.characteristic.value
     domain = choose_field(char, size, coeff_bound, ctx.seed)
-    stream = DeterministicStream("evalpoint", ctx.seed, char, call_tag, attempt)
+    stream = DeterministicStream("evalpoint", ctx.seed, char, key, attempt)
     ordered = sorted(set(variables))
     if char:
         values = [domain.sample(stream.randbelow(domain.size)) for _ in ordered]

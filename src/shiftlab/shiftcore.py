@@ -24,7 +24,6 @@ between exact symbolic elimination and seeded randomized evaluation.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,15 +127,11 @@ class GenericMatrix:
         return max(sum(map(abs, e.terms.values())) for row in self.entries for e in row)
 
     @cached_property
-    def fingerprint(self) -> str:
-        key = (
-            self.n,
-            tuple(
-                tuple(tuple(sorted(e.terms.items())) for e in row)
-                for row in self.entries
-            ),
+    def sorted_terms(self) -> tuple:
+        """Each entry's terms, sorted: g's part of a randomized point's key."""
+        return tuple(
+            tuple(tuple(sorted(e.terms.items())) for e in row) for row in self.entries
         )
-        return hashlib.sha256(repr(key).encode()).hexdigest()
 
     @property
     def symbolically_invertible(self) -> bool:
@@ -190,8 +185,7 @@ def cell_unipotent(w: Permutation) -> GenericMatrix:
 
 def permutation_matrix(w: Permutation) -> GenericMatrix:
     """0/1 matrix with a 1 in row i at column i.w."""
-    rows = [[int(image == j) for j in range(1, w.n + 1)] for image in w.images]
-    return matrix_from_entries(rows, unit_determinant=True)
+    return matrix_from_entries(w.matrix(), unit_determinant=True)
 
 
 def cell_representative(w: Permutation) -> GenericMatrix:
@@ -453,19 +447,19 @@ def _symbolic_ring(
 
 
 def _invertible_evaluation(
-    g: GenericMatrix, size: int, coeff_bound: int, tag: str, ctx: FieldContext
+    g: GenericMatrix, size: int, coeff_bound: int, key: tuple, ctx: FieldContext
 ):
     """g evaluated at a point where it is invertible, and the point's domain.
 
-    Up to 1 + INVERTIBILITY_RETRIES points are tried.  A matrix without
-    variables evaluates the same at every point, so it gets one.  The points
-    come from ``sample_eval_point`` with the bounds of
-    ``_evaluation_bounds``; a bound past the table of Mersenne primes
-    raises MathPreconditionError before any point is drawn.
+    Up to 1 + INVERTIBILITY_RETRIES points are tried, keyed by ``key`` and
+    the attempt.  A matrix without variables evaluates the same at every
+    point, so it gets one.  The points come from ``sample_eval_point`` with
+    the bounds of ``_evaluation_bounds``; a bound past the table of Mersenne
+    primes raises MathPreconditionError before any point is drawn.
     """
     attempts = 1 + INVERTIBILITY_RETRIES if g.variables else 1
     for attempt in range(attempts):
-        point = sample_eval_point(ctx, g.variables, size, coeff_bound, tag, attempt)
+        point = sample_eval_point(ctx, g.variables, size, coeff_bound, key, attempt)
         entries = evaluate_matrix(g, point)
         if g.unit_determinant or matrix_rank(entries, point.domain) == g.n:
             return entries, point.domain
@@ -484,7 +478,6 @@ def _lex_order(n: int, k: int) -> tuple[range]:
 def _shift_families(
     g: GenericMatrix,
     layers: Sequence[UniformHypergraph],
-    tag: str | None,
     ctx: FieldContext,
     column_orders,
 ) -> list[list[UniformHypergraph] | None]:
@@ -497,9 +490,10 @@ def _shift_families(
     every order without elimination and gets None, and its orders are never
     built.  Only if some layer is left is g made concrete, once: packed into
     the polynomial ring of ``_symbolic_ring`` and checked for invertibility
-    on the symbolic backend, or evaluated at one point for the call ``tag``
-    with the budget summed over all layers on the randomized backend, the
-    only reader of ``tag`` (the symbolic backend may pass None).  Each
+    on the symbolic backend, or evaluated at one point with the budget
+    summed over all layers on the randomized backend.  That point is keyed
+    by g's size and entries and by every layer, so it is a pure function of
+    the seed, the matrix and the family, and no caller builds a key.  Each
     remaining layer must then keep one column per edge in every order.
 
     The rows of ``M_S`` enter elimination in reverse lex order of their
@@ -507,7 +501,7 @@ def _shift_families(
 
     - A kept set records only which column prefixes are independent, and
       permuting the rows changes no rank, so every mask is the one lex
-      order gives, on both backends; the tags, and so the points, do not
+      order gives, on both backends; the keys, and so the points, do not
       depend on the row order.
     - A minor of the permuted rows is +- a minor of the rows.  So the
       polynomials that ``_evaluation_bounds`` budgets are the same up to
@@ -543,7 +537,8 @@ def _shift_families(
             )
     else:
         size, coeffs = _evaluation_bounds(g, layers, pending, ctx.epsilon)
-        entries, dom = _invertible_evaluation(g, size, coeffs, tag, ctx)
+        key = (g.n, g.sorted_terms, [(S.k, S.edges) for S in layers])
+        entries, dom = _invertible_evaluation(g, size, coeffs, key, ctx)
     zero = dom.zero
     out = []
     for S, is_fixed in zip(layers, fixed):
@@ -578,12 +573,7 @@ def exterior_shift_profile(
     column; the shifted hypergraph collects the columns where it steps, so
     the sequence is read off the shifted family's edges.
     """
-    # only a sampled point reads the tag; the symbolic backend skips the hash
-    tag = None
-    if ctx.backend is not Backend.SYMBOLIC:
-        tag = f"shift:{g.fingerprint}:{S.n}:{S.k}:{S.edges!r}"
-    (families,) = _shift_families(g, [S], tag, ctx, _lex_order)
-    shifted = S if families is None else families[0]
+    (shifted,) = shift_layers(g, [S], ctx)
     edges = set(shifted.edges)
     steps = [col in edges for col in k_subsets(S.n, S.k)]
     return tuple(accumulate(steps, initial=0)), shifted
@@ -592,16 +582,14 @@ def exterior_shift_profile(
 def shift_layers(
     g: GenericMatrix,
     layers: Sequence[UniformHypergraph],
-    tag: str | None,
     ctx: FieldContext,
 ) -> list[UniformHypergraph]:
     """Shift several families by the same matrix g.
 
     g is made concrete once for all layers; randomized runs draw one point
-    for the call ``tag`` with the budget summed over all layers, and
-    symbolic runs never read ``tag``.
+    with the budget summed over all layers.
     """
-    families = _shift_families(g, layers, tag, ctx, _lex_order)
+    families = _shift_families(g, layers, ctx, _lex_order)
     return [S if f is None else f[0] for S, f in zip(layers, families)]
 
 
@@ -653,6 +641,13 @@ def _permutations(n: int) -> tuple[Permutation, ...]:
 
 
 @lru_cache(maxsize=16)
+def _unipotent(n: int) -> GenericMatrix:
+    """``generic_unipotent(n)``, whose entries every call on n vertices keys
+    its point by: they are built and sorted once per n, not once per call."""
+    return generic_unipotent(n)
+
+
+@lru_cache(maxsize=16)
 def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The order in which every cell offers the columns of compound(U).
 
@@ -681,11 +676,10 @@ def all_partial_shifts(
     """The partial shift of every layer by every w, in ``all_permutations`` order.
 
     The randomized backend draws one point for a generic unipotent U, keyed
-    on (seed, layers) with the budget summed over the layers as
-    ``shift_layers`` sums it, evaluates U once and builds
-    ``M_S = compound(U)[S, :]`` once per layer.  The shift of S by w is then
-    the lex-first column basis of M_S with lex column sigma read as column
-    w^-1(sigma).  This is exact:
+    and budgeted over the layers as in ``shift_layers``, evaluates U once
+    and builds ``M_S = compound(U)[S, :]`` once per layer.  The shift of S
+    by w is then the lex-first column basis of M_S with lex column sigma
+    read as column w^-1(sigma).  This is exact:
 
     - ``coset_normalize`` (in ``tests/lemmas.py``, with its tests) splits
       U.P_w into u'.P_w.u'', with u' supported on the inversions of w and
@@ -728,18 +722,15 @@ def all_partial_shifts(
     if any(S.n != n for S in layers):
         raise MathPreconditionError("layers live on different vertex sets")
     perms = _permutations(n)
-    tag = f"all_cells:{n}:{[(S.k, S.edges) for S in layers]!r}"
     if ctx.backend is Backend.SYMBOLIC:
         # per layer, the first object of each distinct family stands for it
         firsts = [{} for _ in layers]
         out = {}
         for w in perms:
-            shifted = shift_layers(cell_representative(w), layers, tag, ctx)
+            shifted = shift_layers(cell_representative(w), layers, ctx)
             out[w] = [first.setdefault(T, T) for first, T in zip(firsts, shifted)]
         return out
-    families = _shift_families(
-        generic_unipotent(n), layers, tag, ctx, _cell_column_orders
-    )
+    families = _shift_families(_unipotent(n), layers, ctx, _cell_column_orders)
     return {
         w: [S if f is None else f[i] for S, f in zip(layers, families)]
         for i, w in enumerate(perms)

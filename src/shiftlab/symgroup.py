@@ -84,8 +84,8 @@ class Permutation:
 
     @classmethod
     def cycle(cls, n: int) -> "Permutation":
-        """The n-cycle 1 -> 2 -> ... -> n -> 1."""
-        return cls(tuple(range(2, n + 1)) + (1,))
+        """The n-cycle 1 -> 2 -> ... -> n -> 1; the empty permutation for n = 0."""
+        return cls(tuple(range(2, n + 1)) + (1,) if n else ())
 
     @classmethod
     def simple(cls, n: int, i: int) -> "Permutation":

@@ -35,7 +35,6 @@ from .errors import (
     NotClosedError,
 )
 from .field import (
-    Backend,
     Characteristic,
     DeterministicStream,
     FieldContext,
@@ -133,18 +132,12 @@ def betti_numbers(K: SimplicialComplex, characteristic: int = 0) -> BettiVector:
     dim = K.dim
     if dim < 0:
         return BettiVector(characteristic, ())
-    face_counts = [0] * (dim + 1)
-    for f in K.faces:
-        if f:
-            face_counts[f.bit_count() - 1] += 1
+    f = K.f_vector()
     ranks = [0] * (dim + 2)
     for s in range(1, dim + 1):
         ranks[s] = matrix_rank(_boundary_matrix(K, s), dom)
-    values = tuple(
-        face_counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)
-    )
-    euler = sum((-1) ** k * c for k, c in enumerate(face_counts))
-    if sum((-1) ** k * b for k, b in enumerate(values)) != euler:
+    values = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    if sum((-1) ** k * b for k, b in enumerate(values)) != f.euler_characteristic():
         raise InternalError("Betti numbers violate the Euler characteristic")
     return BettiVector(characteristic, values)
 
@@ -223,11 +216,7 @@ def shift_complex_by_matrix(
         raise MathPreconditionError("matrix size must match the complex")
     if K.dim < 0:
         return K
-    # only a sampled point reads the tag; the symbolic backend skips the hash
-    tag = None
-    if ctx.backend is not Backend.SYMBOLIC:
-        tag = f"shift_complex:{g.fingerprint}:{K.n}:{tuple(sorted(K.faces))!r}"
-    return _reassemble(K, shift_layers(g, K.layers(), tag, ctx))
+    return _reassemble(K, shift_layers(g, K.layers(), ctx))
 
 
 def shift_complex(

@@ -62,6 +62,14 @@ def test_shift_by_identity_echoes_canonical_form(tmp_path, capsys):
     assert json.loads(out)["edges"] == [[1, 2], [2, 3]]
 
 
+@pytest.mark.parametrize("perm", ["c0", "cn", "w0", "e"])
+def test_shift_of_the_void_complex_by_a_named_permutation(tmp_path, capsys, perm):
+    path = tmp_path / "void.json"
+    path.write_text(json.dumps({"n": 0, "facets": []}))
+    out = run_ok(capsys, "shift", "-i", str(path), "--perm", perm)
+    assert json.loads(out) == {"n": 0, "facets": []}
+
+
 def test_shift_with_named_vandermonde_matrix(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(

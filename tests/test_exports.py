@@ -77,11 +77,11 @@ def test_every_traced_call_site_resolves():
 
 def test_process_wide_caches_are_keyed_or_bounded():
     # results are computed per call, apart from a bounded window of recent
-    # partial shifts; the permutations per n and the cell column orders per
-    # (n, k) are bounded tables, the Mersenne prime fields of characteristic
-    # 0 one per table entry, and only the k-subset lists, the extension
-    # fields per (p, e, seed) and the golden-data loaders live on without a
-    # bound
+    # partial shifts; the permutations and the generic unipotent per n and
+    # the cell column orders per (n, k) are bounded tables, the Mersenne
+    # prime fields of characteristic 0 one per table entry, and only the
+    # k-subset lists, the extension fields per (p, e, seed) and the
+    # golden-data loaders live on without a bound
     sizes = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
@@ -96,6 +96,7 @@ def test_process_wide_caches_are_keyed_or_bounded():
     assert bounded == {
         "_partial_shift_cached": shiftcore.PARTIAL_SHIFT_CACHE_SIZE,
         "_permutations": 16,
+        "_unipotent": 16,
         "_cell_column_orders": 16,
         "_mersenne_field": len(field.MERSENNE_EXPONENTS),
     }
@@ -122,11 +123,13 @@ def _call_sites(callee: str) -> set[str]:
 
 def test_each_kernel_has_one_entry():
     # every greedy column choice runs in one loop, every randomized point is
-    # drawn by the one invertibility-retry loop, every concrete field of a
-    # characteristic is picked by the one chooser, and both shift graph
-    # builders expand their nodes in the one closure loop
+    # drawn by the one invertibility-retry loop with the key that the shift
+    # kernel, its one caller, derives from the matrix and the layers, every
+    # concrete field of a characteristic is picked by the one chooser, and
+    # both shift graph builders expand their nodes in the one closure loop
     assert _call_sites("offer") == {"field.lex_first_bases"}
     assert _call_sites("sample_eval_point") == {"shiftcore._invertible_evaluation"}
+    assert _call_sites("_invertible_evaluation") == {"shiftcore._shift_families"}
     assert _call_sites("_mersenne_field") == {"field.choose_field"}
     assert _call_sites("gf_extension") == {"field.choose_field"}
     assert _call_sites("_map_shift_edges") == {"shiftgraph._close"}

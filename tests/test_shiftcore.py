@@ -472,10 +472,43 @@ def test_matrix_builders_validate_input():
         matrix_difference(identity_matrix(2), identity_matrix(3))
 
 
-def test_fingerprints_distinguish_matrices():
-    a, b = generic_matrix(3), generic_unipotent(3)
-    assert a.fingerprint == generic_matrix(3).fingerprint
-    assert a.fingerprint != b.fingerprint
+def _drawn_points(monkeypatch) -> list:
+    """The assignment of every point ``shiftcore`` draws from now on."""
+    points, sample = [], shiftcore.sample_eval_point
+
+    def recording_sample(*args):
+        point = sample(*args)
+        points.append(point.assignment)
+        return point
+
+    monkeypatch.setattr(shiftcore, "sample_eval_point", recording_sample)
+    shiftcore._partial_shift_cached.cache_clear()
+    return points
+
+
+def test_matrices_differing_in_one_entry_draw_different_points(monkeypatch):
+    points = _drawn_points(monkeypatch)
+    S = _hg(3, 2, [[1, 2], [2, 3]])
+    rows = [list(row) for row in generic_matrix(3).entries]
+    rows[2][2] = rows[2][2] + MultiPoly.const(1)
+    for g in (generic_matrix(3), generic_matrix(3), matrix_from_entries(rows)):
+        exterior_shift(g, S, RND2)
+    assert len(points) == 3 and points[0].keys() == points[2].keys()
+    assert points[0] == points[1] != points[2]
+
+
+def test_one_family_draws_the_same_point_through_every_entry(monkeypatch):
+    # a point is keyed by the matrix and the layers alone, not by the
+    # function that asked for it
+    points = _drawn_points(monkeypatch)
+    S, w = RP2_TOP, Permutation((3, 6, 1, 5, 2, 4))
+    g = generic_matrix(6)
+    assert exterior_shift(g, S, RND2) == shiftcore.shift_layers(g, [S], RND2)[0]
+    rep = cell_representative(w)
+    assert partial_shift(S, w, RND2) == shiftcore.shift_layers(rep, [S], RND2)[0]
+    assert len(points) == 4
+    assert points[0] == points[1] and points[2] == points[3]
+    assert points[0] != points[2]
 
 
 # --------------------------------------------------- combinatorial shift
@@ -815,29 +848,41 @@ def test_cell_column_orders_map_each_column_by_the_preimage():
 RP2_TOP = UniformHypergraph.from_edges(6, 3, RP2_FACETS)
 
 
-def test_randomized_call_tags_are_pinned(monkeypatch):
-    # a different tag draws a different point, and the shift is the same
+def test_randomized_call_keys_are_pinned(monkeypatch):
+    # a different key draws a different point, and the shift is the same
     # with probability >= 1 - eps either way, so no output shows a change of
-    # tag: the tags of a partial shift, of all cells and of a complex shift
+    # key: the keys of a partial shift, of all cells and of a complex shift
     # at char 2 and seed 201 are pinned here
-    tags = []
+    keys = []
     sample = shiftcore.sample_eval_point
     monkeypatch.setattr(
-        shiftcore, "sample_eval_point", lambda *a: tags.append(a[4]) or sample(*a)
+        shiftcore, "sample_eval_point", lambda *a: keys.append(a[4]) or sample(*a)
     )
     shiftcore._partial_shift_cached.cache_clear()
     ctx = make_field_context(2, Backend.RANDOMIZED, seed=201)
     partial_shift(RP2_TOP, Permutation.longest(6), ctx)
     all_partial_shifts([RP2_TOP], ctx)
-    shift_complex(SimplicialComplex.from_facets(6, RP2_FACETS), Permutation.cycle(6), ctx)
-    shift_tag, cells_tag, complex_tag = tags
-    assert hashlib.sha256(shift_tag.encode()).hexdigest() == (
-        "d92ed89960128ae9d52e11a9c8cf7d745b40eac233bb4505e2ecdfb9ab81fa1b"
-    )
-    assert cells_tag == "all_cells:6:[(3, (19, 35, 13, 21, 41, 14, 38, 26, 52, 56))]"
-    assert hashlib.sha256(complex_tag.encode()).hexdigest() == (
-        "41af3f99dad14db17b56abecdfe44efda062f703f7a9a80d771222050ea28802"
-    )
+    K = SimplicialComplex.from_facets(6, RP2_FACETS)
+    shift_complex(K, Permutation.cycle(6), ctx)
+    # each key is g's size, the sorted terms of its entries and every layer
+    matrices = [
+        cell_representative(Permutation.longest(6)),
+        generic_unipotent(6),
+        cell_representative(Permutation.cycle(6)),
+    ]
+    families = [[RP2_TOP], [RP2_TOP], K.layers()]
+    for key, g, layers in zip(keys, matrices, families, strict=True):
+        n, terms, shifted = key
+        assert n == 6 and shifted == [(S.k, S.edges) for S in layers]
+        assert terms == tuple(
+            tuple(tuple(sorted(e.terms.items())) for e in row) for row in g.entries
+        )
+    assert keys[1][2] == [(3, (19, 35, 13, 21, 41, 14, 38, 26, 52, 56))]
+    assert [hashlib.sha256(repr(key).encode()).hexdigest() for key in keys] == [
+        "216540d6f6549790d0a2448cb127628f4782c3e52c21d7ff39566d7f27690952",
+        "6f02e877dfb755811d678fc409a19cd05246e72ed7883461be1fc0b079d73946",
+        "6f3a1b54fa506a522d357c2b1a390b34aa9e50ef1d6d0f2a5005971d16fcfeba",
+    ]
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
@@ -846,7 +891,7 @@ def test_symbolic_w0_shift_of_rp2_top_layer_matches_randomized(char):
     # the polynomial ring in the 15 free entries of the w0 representative
     w0 = Permutation.longest(6)
     sym = make_field_context(char, Backend.SYMBOLIC)
-    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], "w0", sym)
+    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], sym)
     rnd = make_field_context(char, Backend.RANDOMIZED, seed=201)
     assert shifted == full_shift(RP2_TOP, rnd)
     # the first nine 3-sets, then {1,5,6}; over GF(2) the torsion of RP^2
@@ -873,7 +918,7 @@ def test_symbolic_w0_shift_of_rp2_top_layer_pivots_near_the_diagonal(
     monkeypatch.setattr(PolynomialRing, "mul", counting_mul)
     w0 = Permutation.longest(6)
     sym = make_field_context(char, Backend.SYMBOLIC)
-    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], None, sym)
+    (shifted,) = shiftcore.shift_layers(cell_representative(w0), [RP2_TOP], sym)
     assert shifted.m == RP2_TOP.m
     assert 0 < pairs[0] < most
 
@@ -902,22 +947,24 @@ def test_all_partial_shifts_share_one_object_per_family(char):
     assert images[Permutation.identity(6)] is rp2
 
 
-def test_symbolic_shifts_never_hash_the_matrix(monkeypatch):
-    # only a sampled point reads the call tag, and with it the sha256
-    # fingerprint of the matrix
-    hashed, fingerprint = [], shiftcore.GenericMatrix.fingerprint
+def test_symbolic_shifts_never_build_a_key(monkeypatch):
+    # only a sampled point reads a key, and building one sorts the terms of
+    # every entry of the matrix, the only sort in shiftcore
+    sorts = []
     monkeypatch.setattr(
-        shiftcore.GenericMatrix,
-        "fingerprint",
-        property(lambda g: hashed.append(g) or fingerprint.func(g)),
+        shiftcore, "sorted", lambda *a: sorts.append(a) or sorted(*a), raising=False
     )
     shiftcore._partial_shift_cached.cache_clear()
     S, w = _hg(4, 2, [[1, 2], [2, 3], [3, 4]]), Permutation((3, 4, 1, 2))
     K = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4]])
-    assert partial_shift(S, w, SYM) == partial_shift(S, w, RND)
-    assert len(hashed) == 1
-    assert shift_complex(K, w, SYM2) == shift_complex(K, w, RND2)
-    assert len(hashed) == 2
+    symbolic = partial_shift(S, w, SYM)
+    assert sorts == []
+    assert symbolic == partial_shift(S, w, RND)
+    assert len(sorts) == 16
+    symbolic = shift_complex(K, w, SYM2)
+    assert len(sorts) == 16
+    assert symbolic == shift_complex(K, w, RND2)
+    assert len(sorts) == 32
 
 
 def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):

@@ -100,6 +100,9 @@ def test_named_permutations():
     assert Permutation.transposition(5, 2, 4).images == (1, 4, 3, 2, 5)
     assert Permutation.transposition(5, 2, 4).as_transposition() == (2, 4)
     assert Permutation.cycle(4).as_transposition() is None
+    # the n-cycle of n = 0 is the empty permutation, as are w0 and e
+    assert Permutation.cycle(0) == Permutation.longest(0) == Permutation.identity(0)
+    assert Permutation.cycle(0).n == 0 and Permutation.cycle(1).images == (1,)
     assert Permutation.simple(4, 1).as_transposition() == (1, 2)
     with pytest.raises(MathPreconditionError):
         Permutation.simple(4, 4)
