@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -232,7 +232,9 @@ class SimplicialComplex:
                 bits ^= low
         return cls(n, frozenset(faces))
 
-    @property
+    # a complex is frozen, so its dimension and f-vector are computed once,
+    # on first use, and kept in the instance dict
+    @cached_property
     def dim(self) -> int:
         if not self.faces:
             return -2  # the void complex, one less than {empty face}
@@ -266,6 +268,10 @@ class SimplicialComplex:
         return tuple(map(subset_elements, self.facets()))
 
     def f_vector(self) -> FVector:
+        return self._f_vector
+
+    @cached_property
+    def _f_vector(self) -> FVector:
         if not self.faces:
             return FVector(())
         counts = [0] * (self.dim + 2)

@@ -1130,18 +1130,30 @@ class ProfileState:
     they stand for, and are reduced only where read: as a pivot's factor
     ``f``, when tested for a pivot, or when stored or normalized as a value
     in [1, p).  Zero tests are exact in every case.
+
+    Over GF(2^e) entries are packed ints whose zero is 0, so factors and
+    the zero scan test an int for truth and a row update is
+    ``c[i] ^= mul(f, v)``.  Only GF(p^e) for odd p, whose zero ``(0,) * e``
+    is a true tuple, eliminates through the field's ``is_zero`` and ``sub``.
+    The pivots, their normalization and every decision are the same in all
+    three.
+
+    The Bareiss update tests zeros for truth too: it serves the polynomial
+    ring, whose zero is the empty dict, and rings of ints, whose zero is 0.
     """
 
     # many states are alive while all the cells of a family are shifted, so
     # instances carry no attribute dict
-    __slots__ = ("dom", "m", "_stack", "_p")
+    __slots__ = ("dom", "m", "_stack", "_p", "_xor")
 
     def __init__(self, domain, nrows: int):
         self.dom = domain
         self.m = nrows
         self._stack: list[tuple] = []
-        # the modulus selects the plain-int elimination over GF(p)
+        # the modulus selects the plain-int elimination over GF(p), and the
+        # field type the XOR elimination over GF(2^e)
         self._p = domain.p if isinstance(domain, PrimeField) else None
+        self._xor = isinstance(domain, BinaryExtensionField)
 
     @property
     def rank(self) -> int:
@@ -1162,7 +1174,7 @@ class ProfileState:
         normalized or not, and costs one list copy.
         """
         twin = ProfileState.__new__(ProfileState)
-        twin.dom, twin.m, twin._p = self.dom, self.m, self._p
+        twin.dom, twin.m, twin._p, twin._xor = self.dom, self.m, self._p, self._xor
         twin._stack = self._stack[:rank]
         return twin
 
@@ -1178,13 +1190,13 @@ class ProfileState:
 
     def _offer_bareiss(self, c: list) -> bool:
         dom = self.dom
-        mul, div, is_zero = dom.mul, dom.exact_div, dom.is_zero
+        mul, div = dom.mul, dom.exact_div
         live = list(range(self.m))
         # a run of zero-factor steps so far scales the live rows by num / den
         num = den = None
         for pr, u, piv, prev in self._stack:
             f = c[pr]
-            if is_zero(f):
+            if not f:
                 # prev is the piv of the step before, so the run telescopes.
                 # The row leaving here holds f = 0 and needs no scaling; no
                 # later offer reads a stacked column at its earlier pivot rows
@@ -1199,14 +1211,14 @@ class ProfileState:
             live.remove(pr)
             for i in live:
                 ci, ui = c[i], u[i]
-                if is_zero(ui):
-                    if not is_zero(ci):
+                if not ui:
+                    if ci:
                         c[i] = div(mul(piv, ci), prev)
-                elif is_zero(ci):
+                elif not ci:
                     c[i] = dom.neg(div(mul(ui, f), prev))
                 else:
                     c[i] = div(dom.sub(mul(piv, ci), mul(ui, f)), prev)
-        pr = next((i for i in live if not is_zero(c[i])), None)
+        pr = next((i for i in live if c[i]), None)
         if pr is None:
             return False
         if num is not None:
@@ -1219,7 +1231,7 @@ class ProfileState:
         """Replace c[i] by num * c[i] / den at each of ``rows``."""
         dom = self.dom
         for i in rows:
-            if not dom.is_zero(c[i]):
+            if c[i]:
                 c[i] = dom.exact_div(dom.mul(num, c[i]), den)
 
     def _offer_gauss(self, c: list) -> bool:
@@ -1241,17 +1253,30 @@ class ProfileState:
             if rows:
                 vals = [c[i] % p for i in nonzero]
         else:
-            sub, mul, is_zero = dom.sub, dom.mul, dom.is_zero
-            for pr, rows, vals in self._stack:
-                f = c[pr]
-                if not is_zero(f):
-                    if len(vals) > len(rows):
-                        inv = dom.inv(vals.pop(0))
-                        vals[:] = [mul(v, inv) for v in vals]
-                    for i, v in zip(rows, vals):
-                        c[i] = sub(c[i], mul(f, v))
-                    c[pr] = dom.zero
-            nonzero = [i for i, x in enumerate(c) if not is_zero(x)]
+            mul = dom.mul
+            if self._xor:
+                for pr, rows, vals in self._stack:
+                    f = c[pr]
+                    if f:
+                        if len(vals) > len(rows):
+                            inv = dom.inv(vals.pop(0))
+                            vals[:] = [mul(v, inv) for v in vals]
+                        for i, v in zip(rows, vals):
+                            c[i] ^= mul(f, v)
+                        c[pr] = 0
+                nonzero = [i for i, x in enumerate(c) if x]
+            else:
+                sub, is_zero = dom.sub, dom.is_zero
+                for pr, rows, vals in self._stack:
+                    f = c[pr]
+                    if not is_zero(f):
+                        if len(vals) > len(rows):
+                            inv = dom.inv(vals.pop(0))
+                            vals[:] = [mul(v, inv) for v in vals]
+                        for i, v in zip(rows, vals):
+                            c[i] = sub(c[i], mul(f, v))
+                        c[pr] = dom.zero
+                nonzero = [i for i, x in enumerate(c) if not is_zero(x)]
             if not nonzero:
                 return False
             pr, rows, vals = nonzero[0], nonzero[1:], []

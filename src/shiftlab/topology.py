@@ -116,26 +116,67 @@ def _boundary_matrix(K: SimplicialComplex, s: int) -> list[list[int]]:
     return matrix
 
 
+def _gf2_boundary_ranks(K: SimplicialComplex) -> list[int]:
+    """rank d_s over GF(2) at index s, for s = 0..dim + 1 (d_0 = 0 = d_{dim+1}).
+
+    Column j of d_s is the boundary of an s-face, an int whose bit i is set
+    when the i-th (s-1)-face lies in it; over GF(2) the signs drop out.  The
+    rank is the size of an XOR basis of the columns: a basis vector is kept
+    under its lowest set bit, which no other kept vector has as its lowest,
+    so a column XORed with the vector under its lowest bit loses that bit,
+    and one that reaches 0 depends on the kept ones.
+    """
+    dim = K.dim
+    by_size: list[list[int]] = [[] for _ in range(dim + 2)]
+    for face in K.faces:
+        by_size[face.bit_count()].append(face)
+    ranks = [0] * (dim + 2)
+    for s in range(1, dim + 1):
+        row_bit = {face: 1 << i for i, face in enumerate(by_size[s])}
+        basis: dict[int, int] = {}
+        for face in by_size[s + 1]:
+            column, rest = 0, face
+            while rest:
+                low = rest & -rest
+                column |= row_bit[face ^ low]
+                rest ^= low
+            while column:
+                low = column & -column
+                pivot = basis.get(low)
+                if pivot is None:
+                    basis[low] = column
+                    break
+                column ^= pivot
+        ranks[s] = len(basis)
+    return ranks
+
+
 def betti_numbers(K: SimplicialComplex, characteristic: int = 0) -> BettiVector:
     """Betti numbers over the field of the given characteristic.
 
     beta_k = (number of k-faces) - rank d_k - rank d_{k+1}, where d_s is
     the boundary map from s-chains to (s-1)-chains and d_0 = 0.  Ranks are
-    exact, by Gauss over GF(p) in characteristic p, and over Q in
-    characteristic zero by Gauss modulo a Mersenne prime above Hadamard's
-    bound on the minors of d_s (see ``field.rational_rank_field``); a bound
-    past the table of primes raises MathPreconditionError.  The alternating
-    sum is checked against the Euler characteristic of the f-vector.
+    exact.  In characteristic 2 each is the size of an XOR basis of the
+    boundary columns as bitmasks (``_gf2_boundary_ranks``), with no matrix
+    built.  In odd characteristic p they are by Gauss over GF(p), and over
+    Q in characteristic zero by Gauss modulo a Mersenne prime above
+    Hadamard's bound on the minors of d_s (see
+    ``field.rational_rank_field``); a bound past the table of primes raises
+    MathPreconditionError.  The alternating sum is checked against the
+    Euler characteristic of the f-vector.
     """
     char = Characteristic(characteristic)
-    dom = None if char.is_zero else PrimeField(char.value)
     dim = K.dim
     if dim < 0:
         return BettiVector(characteristic, ())
     f = K.f_vector()
-    ranks = [0] * (dim + 2)
-    for s in range(1, dim + 1):
-        ranks[s] = matrix_rank(_boundary_matrix(K, s), dom)
+    if char.value == 2:
+        ranks = _gf2_boundary_ranks(K)
+    else:
+        dom = None if char.is_zero else PrimeField(char.value)
+        ranks = [0] * (dim + 2)
+        for s in range(1, dim + 1):
+            ranks[s] = matrix_rank(_boundary_matrix(K, s), dom)
     values = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
     if sum((-1) ** k * b for k, b in enumerate(values)) != f.euler_characteristic():
         raise InternalError("Betti numbers violate the Euler characteristic")

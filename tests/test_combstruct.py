@@ -218,6 +218,20 @@ def test_from_facets_closes_downward():
     assert K.f_vector()[-1] == 1 and K.f_vector()[0] == 4
 
 
+def test_dimension_and_f_vector_are_computed_once():
+    K = SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]])
+    faces = K.faces
+    assert K.dim == 2 and K.f_vector().counts == (1, 4, 4, 1)
+    # later reads walk no face: they answer alike with the faces taken away
+    object.__setattr__(K, "faces", frozenset())
+    assert K.dim == 2 and K.f_vector() is K.f_vector()
+    assert K.f_vector().counts == (1, 4, 4, 1)
+    object.__setattr__(K, "faces", faces)
+    # the kept values leave equality and hashing to n and the faces
+    same = SimplicialComplex(4, faces)
+    assert K == same and hash(K) == hash(same)
+
+
 def test_direct_constructor_rejects_open_family():
     with pytest.raises(NotClosedError) as exc:
         SimplicialComplex(3, frozenset({0, 0b011}))

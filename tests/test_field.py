@@ -881,6 +881,113 @@ def test_profile_state_copy_is_independent(domain):
     assert state.copy(0).rank == 0 and state.copy(0).offer([0, 0, 1])
 
 
+def _gf2e_kept_mask(columns, nrows, fld, order):
+    """Kept positions of ``order`` by dense Gauss against pivots normalized
+    when stored, with only the field's add, mul and inv (in characteristic
+    2, c - f * b is c + f * b)."""
+    basis, kept = [], 0
+    for t, j in enumerate(order):
+        if len(basis) == nrows:
+            break
+        c = list(columns[j])
+        for r, b in basis:
+            if c[r] != fld.zero:
+                f = c[r]
+                c = [fld.add(x, fld.mul(f, y)) for x, y in zip(c, b)]
+        r = next((i for i, x in enumerate(c) if x != fld.zero), None)
+        if r is None:
+            continue
+        inv = fld.inv(c[r])
+        basis.append((r, [fld.mul(inv, x) for x in c]))
+        kept |= 1 << t
+    return kept
+
+
+def _no_method_zero_tests(monkeypatch):
+    """Make the GF(2^e) methods that the XOR elimination must not call raise."""
+
+    def forbidden(*args):
+        raise AssertionError("GF(2^e) elimination called a zero test or add")
+
+    for name in ("is_zero", "add", "sub"):
+        monkeypatch.setattr(BinaryExtensionField, name, forbidden)
+
+
+@pytest.mark.parametrize("e", [2, 8, 42, 254, 255])
+def test_gf2e_elimination_matches_dense_gauss(monkeypatch, e):
+    # the XOR branch of ProfileState tests packed ints for truth and updates
+    # by c[i] ^= mul(f, v); 255 is the first degree with two-byte slots
+    fld = gf_extension(2, 2**e)
+    assert fld.e == e and fld._slot_bytes == (2 if e == 255 else 1)
+    gen = rng(f"gf2e-xor-{e}")
+    copies, copy = [], ProfileState.copy
+
+    def spy(state, rank=None):
+        twin = copy(state, rank)
+        copies.extend(pivot for pivot in twin._stack if len(pivot[2]) > len(pivot[1]))
+        return twin
+
+    monkeypatch.setattr(ProfileState, "copy", spy)
+    for _ in range(25):
+        nrows, ncols = gen.randint(2, 6), gen.randint(3, 12)
+        density = gen.choice([0.25, 0.5, 0.75, 1.0])
+        rows = [
+            [
+                fld.sample(gen.getrandbits(e)) if gen.random() < density else fld.zero
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        # dependent columns, so that decisions hinge on exact zeros
+        for target in gen.sample(range(ncols), min(2, ncols - 2)):
+            x, y = gen.sample([j for j in range(ncols) if j != target], 2)
+            a, b = (fld.sample(gen.getrandbits(e)) for _ in range(2))
+            for row in rows:
+                row[target] = fld.add(fld.mul(a, row[x]), fld.mul(b, row[y]))
+        columns = [[row[j] for row in rows] for j in range(ncols)]
+        orders = _shuffled_orders(gen, ncols, 8)
+        want = [_gf2e_kept_mask(columns, nrows, fld, order) for order in orders]
+        with monkeypatch.context() as patched:
+            _no_method_zero_tests(patched)
+            got = lex_first_bases(columns, nrows, fld, orders)
+        assert got == want
+    # orders branched off kept sets through twins that shared pivots
+    # not yet normalized
+    assert copies
+
+
+@pytest.mark.parametrize("e", [2, 8, 42, 254, 255])
+def test_gf2e_pivot_normalized_after_a_copy(monkeypatch, e):
+    # a twin normalizes a pivot it shares with the state it was copied
+    # from; both go on to decide as dense Gauss does
+    fld = gf_extension(2, 2**e)
+    gen = rng(f"gf2e-twins-{e}")
+    for _ in range(10):
+        nrows = gen.randint(3, 6)
+        # the first column is nonzero at row 0 and below it, so its pivot
+        # stores values that stay unnormalized until a factor meets row 0
+        first = [fld.sample(gen.getrandbits(e) | 1) for _ in range(nrows)]
+        rest = [[fld.sample(gen.getrandbits(e)) for _ in range(nrows)] for _ in range(nrows)]
+        rest[0][0] = fld.one
+        dependent = [fld.add(x, fld.mul(fld.sample(2), y)) for x, y in zip(first, rest[0])]
+        with monkeypatch.context() as patched:
+            _no_method_zero_tests(patched)
+            state = ProfileState(fld, nrows)
+            assert state.offer(first)
+            twin = state.copy()
+            ((_, rows, vals),) = state._stack
+            assert len(vals) == len(rows) + 1
+            twin_kept = [twin.offer(c) for c in [rest[0], dependent] + rest[1:]]
+            # the twin's first offer normalized the pivot that both share
+            assert state._stack[0][2] is vals and len(vals) == len(rows)
+            state_kept = [state.offer(c) for c in [dependent] + rest]
+        order = range(nrows + 2)
+        twin_want = _gf2e_kept_mask([first, rest[0], dependent] + rest[1:], nrows, fld, order)
+        state_want = _gf2e_kept_mask([first, dependent] + rest, nrows, fld, order)
+        assert sum(1 << t for t, k in enumerate([True] + twin_kept) if k) == twin_want
+        assert sum(1 << t for t, k in enumerate([True] + state_kept) if k) == state_want
+
+
 def _offer_both(state, reference, column) -> bool:
     """Offer one column to the state and, densely, to its reference twin."""
     took = state.offer(list(column))

@@ -144,6 +144,36 @@ def test_betti_matches_boundary_rank_oracle_on_random_complexes():
             assert betti_numbers(K, char).values == betti_oracle(K, char)
 
 
+def _check_gf2_boundary_ranks(K):
+    """The XOR-basis ranks of K's boundary maps are those of the dense
+    matrices over GF(2), and d_0 and d_{dim+1} have rank 0."""
+    ranks = topology._gf2_boundary_ranks(K)
+    assert len(ranks) == K.dim + 2
+    if ranks:
+        assert ranks[0] == ranks[-1] == 0
+    for s in range(1, K.dim + 1):
+        assert ranks[s] == matrix_rank(topology._boundary_matrix(K, s), field.PrimeField(2))
+    return ranks
+
+
+def test_gf2_boundary_ranks_match_dense_ranks(monkeypatch):
+    for n in (4, 5, 6):
+        for dim in range(min(n, 4)):
+            for K in random_complexes(12, n=n, dim=dim, seed=n):
+                _check_gf2_boundary_ranks(K)
+    # RP^2: d_1 has rank 5 and d_2 rank 9 over GF(2), against 10 over Q
+    assert _check_gf2_boundary_ranks(_rp2()) == [0, 5, 9, 0]
+    void = SimplicialComplex(4, frozenset())
+    point = SimplicialComplex(4, frozenset({0}))
+    discrete = SimplicialComplex.from_facets(4, [[1], [2], [4]])
+    assert [_check_gf2_boundary_ranks(K) for K in (void, point, discrete)] == [[], [0], [0, 0]]
+    # characteristic 2 builds no boundary matrix and calls no matrix_rank
+    monkeypatch.setattr(topology, "matrix_rank", None)
+    monkeypatch.setattr(topology, "_boundary_matrix", None)
+    assert betti_numbers(_rp2(), 2).values == (1, 1, 1)
+    assert [betti_numbers(K, 2).values for K in (void, point, discrete)] == [(), (), (3,)]
+
+
 def _larger_complexes(tag, count):
     """Random complexes on 9 to 11 vertices with at most 500 nonempty faces."""
     gen = rng(tag)
