@@ -240,9 +240,6 @@ class SimplicialComplex:
             return -2  # the void complex, one less than {empty face}
         return max(f.bit_count() for f in self.faces) - 1
 
-    def contains(self, elements: Iterable[int]) -> bool:
-        return subset_mask(self.n, elements) in self.faces
-
     def layer(self, s: int) -> UniformHypergraph:
         """The (s+1)-subsets that are faces, as a uniform hypergraph."""
         if s < 0:

@@ -630,15 +630,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.is_constant:
-            raise MathPreconditionError("polynomial is not constant")
-        return self.terms.get((), 0)
-
     def degree(self) -> int:
         """Total degree; zero and constants report 0."""
         if not self.terms:
@@ -1158,11 +1149,6 @@ class ProfileState:
     @property
     def rank(self) -> int:
         return len(self._stack)
-
-    @property
-    def pivot_rows(self) -> list[int]:
-        # entry 0 of a stacked pivot is its pivot row, Bareiss or Gauss
-        return [pivot[0] for pivot in self._stack]
 
     def copy(self, rank: int | None = None) -> "ProfileState":
         """An independent state with the first ``rank`` pivots (default all).

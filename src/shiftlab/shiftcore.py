@@ -305,13 +305,14 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[int], domain):
     no product.  An edge that shares a prefix with the edge before it starts
     from that prefix's partial wedge, so a layer in lex order wedges in
     each prefix once.  The steps and their order are those of a separate
-    pass per edge, so every coefficient is the same.
+    pass per edge, so every coefficient is the same.  Every domain keeps
+    its elements canonical, so a zero test compares with ``domain.zero``.
     """
-    is_zero, mul, neg, add = domain.is_zero, domain.mul, domain.neg, domain.add
-    one = domain.one
+    mul, neg, add = domain.mul, domain.neg, domain.add
+    zero, one = domain.zero, domain.one
     # (column bit, shift to the columns after it, entry, whether it is 1)
     support = [
-        [(1 << j, j + 1, e, e == one) for j, e in enumerate(row) if not is_zero(e)]
+        [(1 << j, j + 1, e, e == one) for j, e in enumerate(row) if e != zero]
         for row in matrix_rows
     ]
     # states[t] is the wedge of the first t rows of the edge before
@@ -327,7 +328,7 @@ def _wedge_rows(matrix_rows: Sequence[Sequence], edges: Sequence[int], domain):
         for v in elements[t:]:
             nxt: dict[int, object] = {}
             for mask, coeff in states[-1].items():
-                if is_zero(coeff):
+                if coeff == zero:
                     continue
                 for bit, shift, entry, unit in support[v - 1]:
                     if mask & bit:
@@ -635,12 +636,6 @@ def full_shift(S: UniformHypergraph, ctx: FieldContext) -> UniformHypergraph:
 
 
 @lru_cache(maxsize=16)
-def _permutations(n: int) -> tuple[Permutation, ...]:
-    """``all_permutations(n)``, shared by every family shifted by all n! cells."""
-    return tuple(all_permutations(n))
-
-
-@lru_cache(maxsize=16)
 def _unipotent(n: int) -> GenericMatrix:
     """``generic_unipotent(n)``, whose entries every call on n vertices keys
     its point by: they are built and sorted once per n, not once per call."""
@@ -651,7 +646,7 @@ def _unipotent(n: int) -> GenericMatrix:
 def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The order in which every cell offers the columns of compound(U).
 
-    Row i belongs to the i-th permutation w of ``_permutations(n)``.  Its
+    Row i belongs to the i-th permutation w of ``all_permutations(n)``.  Its
     t-th entry is the lex index of w^-1 applied to the t-th k-subset: column
     t of compound(U . P_w) is that column of compound(U), up to sign.  The
     table depends on (n, k) alone, so the most recent 16 are kept for the
@@ -661,7 +656,7 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     index = {col: i for i, col in enumerate(columns)}
     elements = [subset_elements(col) for col in columns]
     table = []
-    for w in _permutations(n):
+    for w in all_permutations(n):
         preimage_bit = [0] * (n + 1)
         for i, image in enumerate(w.images):
             preimage_bit[image] = 1 << i
@@ -672,8 +667,8 @@ def _cell_column_orders(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def all_partial_shifts(
     layers: Sequence[UniformHypergraph], ctx: FieldContext
-) -> dict[Permutation, list[UniformHypergraph]]:
-    """The partial shift of every layer by every w, in ``all_permutations`` order.
+) -> dict[tuple[UniformHypergraph, ...], list[Permutation]]:
+    """The partial shifts of the layers by every w, grouped by their outcome.
 
     The randomized backend draws one point for a generic unipotent U, keyed
     and budgeted over the layers as in ``shift_layers``, evaluates U once
@@ -709,32 +704,38 @@ def all_partial_shifts(
     symbolic backend shifts cell by cell with ``shift_layers`` and stays the
     independent oracle.
 
-    On both backends, within one call, equal shifted families of a layer
-    are one object, shared by every cell that yields them; an empty or
-    complete layer is the input object itself.  ``shift_complex_all_cells``
-    and ``shiftgraph._shift_edges_of`` group cells by these identities, so
-    a fresh family per cell would cost them a comparison and a complex per
-    cell.
+    The result maps each distinct tuple of shifted layers to its witnesses,
+    the cells that yield it, in ``all_permutations`` order.  Tuples come in
+    the order of their first witness, so the identity's, ``tuple(layers)``,
+    comes first.  A graph build reads a node's arrows off it, and a scan
+    assembles each shifted complex once.  The symbolic backend groups the
+    cells by equality.  The randomized backend groups them by the ids of
+    their families, which ``_shift_families`` shares per kept set, so no
+    family is hashed or compared per cell.
     """
     if not layers:
         raise MathPreconditionError("all_partial_shifts needs at least one layer")
     n = layers[0].n
     if any(S.n != n for S in layers):
         raise MathPreconditionError("layers live on different vertex sets")
-    perms = _permutations(n)
+    perms = all_permutations(n)
+    out: dict[tuple[UniformHypergraph, ...], list[Permutation]] = {}
     if ctx.backend is Backend.SYMBOLIC:
-        # per layer, the first object of each distinct family stands for it
-        firsts = [{} for _ in layers]
-        out = {}
         for w in perms:
-            shifted = shift_layers(cell_representative(w), layers, ctx)
-            out[w] = [first.setdefault(T, T) for first, T in zip(firsts, shifted)]
+            shifted = tuple(shift_layers(cell_representative(w), layers, ctx))
+            out.setdefault(shifted, []).append(w)
         return out
     families = _shift_families(_unipotent(n), layers, ctx, _cell_column_orders)
-    return {
-        w: [S if f is None else f[i] for S, f in zip(layers, families)]
-        for i, w in enumerate(perms)
-    }
+    columns = [[S] * len(perms) if f is None else f for S, f in zip(layers, families)]
+    ids = zip(*[map(id, column) for column in columns])
+    groups: dict[tuple[int, ...], list[Permutation]] = {}
+    for w, key, shifted in zip(perms, ids, zip(*columns)):
+        witnesses = groups.get(key)
+        if witnesses is None:
+            out[shifted] = groups[key] = [w]
+        else:
+            witnesses.append(w)
+    return out
 
 
 def combinatorial_shift(S: UniformHypergraph, t: Permutation) -> UniformHypergraph:

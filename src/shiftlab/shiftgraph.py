@@ -23,7 +23,6 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 from .combstruct import UniformHypergraph, _require_json_ints, is_shifted, k_subsets
 from .errors import InputFormatError, InternalError, MathPreconditionError
@@ -73,16 +72,6 @@ class _Graph:
             if src == dst:
                 raise MathPreconditionError("shift graphs have no self-loops")
 
-    @cached_property
-    def _index(self) -> dict[UniformHypergraph, int]:
-        return {S: i for i, S in enumerate(self.nodes)}
-
-    def node_index(self, S: UniformHypergraph) -> int:
-        try:
-            return self._index[S]
-        except KeyError:
-            raise MathPreconditionError("hypergraph is not a node of this graph")
-
     def successors(self, i: int) -> list[int]:
         return sorted(dst for (src, dst) in self.edges if src == i)
 
@@ -127,20 +116,13 @@ class ContractedShiftGraph(_Graph):
 
 
 def _shift_edges_of(S: UniformHypergraph, ctx: FieldContext):
-    """All (target, witness) pairs with target different from S.
+    """Each target T different from S, with the cells that move S to T.
 
-    ``all_partial_shifts`` returns one object per distinct shifted family,
-    so the cells are grouped by that object's identity, and each target is
-    compared with S and hashed once, not once per cell.  Targets come in
-    the order of their first witness.
+    ``all_partial_shifts`` groups the cells by their outcome, so each target
+    is compared with S once.  Targets come in the order of their first
+    witness, and each one's witnesses in ``all_permutations`` order.
     """
-    groups: dict[int, tuple[UniformHypergraph, list[Permutation]]] = {}
-    for w, (T,) in all_partial_shifts((S,), ctx).items():
-        group = groups.get(id(T))
-        if group is None:
-            group = groups[id(T)] = (T, [])
-        group[1].append(w)
-    return {T: witnesses for T, witnesses in groups.values() if T != S}
+    return {T: ws for (T,), ws in all_partial_shifts((S,), ctx).items() if T != S}
 
 
 def _map_shift_edges(
@@ -167,8 +149,9 @@ def _close(
 ) -> ShiftGraph:
     """The graph on every family reachable from ``start`` by partial shifts.
 
-    Each node is expanded once, a frontier batch at a time; witnesses come
-    in ``all_permutations`` order, which is one-line order.
+    Each node is expanded once, a frontier batch at a time.  A node's
+    arrows come in the order of their first witness, and each arrow's
+    witnesses in ``all_permutations`` order, which is one-line order.
     """
     seen = set(start)
     frontier = start

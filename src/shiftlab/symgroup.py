@@ -18,8 +18,9 @@ ground-set size ``n`` explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations as _iter_permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputFormatError, MathPreconditionError
 
@@ -126,23 +127,6 @@ class Permutation:
         """The number of inversions, counted without building them."""
         return sum(a > b for a, b in combinations(self.images, 2))
 
-    def reduced_word(self) -> tuple[int, ...]:
-        """One reduced word for the permutation (empty for the identity)."""
-        w = self
-        suffix: list[int] = []
-        while True:
-            img = w.images
-            for i in range(1, w.n):
-                # right-multiplying by simple(i) shortens w iff value i sits
-                # after value i + 1 in one-line notation
-                if img.index(i) > img.index(i + 1):
-                    suffix.append(i)
-                    w = w * Permutation.simple(w.n, i)
-                    break
-            else:
-                break
-        return tuple(reversed(suffix))
-
     def moved_points(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.images, start=1) if v != i)
 
@@ -167,10 +151,14 @@ class Permutation:
         return f"Permutation([{self.one_line()}])"
 
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic order of one-line notation."""
-    for images in _iter_permutations(range(1, n + 1)):
-        yield Permutation(images)
+@lru_cache(maxsize=16)
+def all_permutations(n: int) -> tuple[Permutation, ...]:
+    """All of S_n in lexicographic order of one-line notation.
+
+    The table of each of the 16 most recent n is kept for the process, so
+    every family and complex shifted by all n! cells shares one tuple.
+    """
+    return tuple(map(Permutation, _iter_permutations(range(1, n + 1))))
 
 
 def weak_order_geq(w: Permutation, u: Permutation) -> bool:

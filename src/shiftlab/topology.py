@@ -277,28 +277,18 @@ def shift_complex_all_cells(
     """Layer-wise partial shift of K by every permutation, in enumeration order.
 
     One call of ``all_partial_shifts`` shifts every layer by every cell, so
-    a randomized run draws one point for the whole complex.  That call
-    returns one object per distinct shifted family of a layer, so the cells
-    are grouped by the identities of their shifted layers, with no hashing
-    of families.  Each group is compared with K's layers once: the layers
-    that did not move, among them the identity's, give K itself, and any
-    other group is reassembled and checked once, its cells sharing the
-    complex.
+    a randomized run draws one point for the whole complex.  Each distinct
+    outcome is compared with K's layers once: the layers that did not move,
+    among them the identity's, give K itself, and any other outcome is
+    reassembled and checked once, its witnesses sharing the complex.
     """
+    out = dict.fromkeys(all_permutations(K.n), K)
     if K.dim < 0:
-        return {w: K for w in all_permutations(K.n)}
-    layers = K.layers()
-    images: dict[tuple[int, ...], SimplicialComplex] = {}
-    out = {}
-    for w, shifted in all_partial_shifts(layers, ctx).items():
-        # a list, not a generator: a tuple grown from a generator is resized,
-        # and the resized tuples pile up on CPython's free list
-        key = tuple([id(T) for T in shifted])
-        image = images.get(key)
-        if image is None:
-            image = K if shifted == layers else _reassemble(K, shifted)
-            images[key] = image
-        out[w] = image
+        return out
+    layers = tuple(K.layers())
+    for shifted, witnesses in all_partial_shifts(layers, ctx).items():
+        if shifted != layers:
+            out.update(dict.fromkeys(witnesses, _reassemble(K, shifted)))
     return out
 
 
@@ -346,12 +336,6 @@ class ScanReport:
     characteristic: int
     complexes: tuple[ComplexScanResult, ...]
     graphs: tuple[GraphScanResult, ...]
-
-    @property
-    def has_violations(self) -> bool:
-        return any(c.violations for c in self.complexes) or any(
-            not g.acyclic for g in self.graphs
-        )
 
     def to_json(self) -> str:
         payload = {

@@ -13,6 +13,7 @@ from math import comb
 from typing import Sequence
 
 from shiftlab import GenericMatrix, MultiPoly, Permutation, UniformHypergraph
+from shiftlab import ScanReport, all_permutations
 from shiftlab import subset_elements, subset_mask
 from shiftlab import InternalError, MathPreconditionError, MatrixNotInvertibleError
 from shiftlab import cell_representative, matrix_from_entries, matrix_product
@@ -66,6 +67,40 @@ def hypergraph_lex_compare(a: UniformHypergraph, b: UniformHypergraph) -> int:
     if not sym:
         return 0
     return -1 if min(sym, key=subset_elements) in a.edges else 1
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """One reduced word for w (empty for the identity)."""
+    suffix: list[int] = []
+    while True:
+        img = w.images
+        for i in range(1, w.n):
+            # right-multiplying by simple(i) shortens w iff value i sits
+            # after value i + 1 in one-line notation
+            if img.index(i) > img.index(i + 1):
+                suffix.append(i)
+                w = w * Permutation.simple(w.n, i)
+                break
+        else:
+            return tuple(reversed(suffix))
+
+
+def per_cell(grouped: dict) -> dict[Permutation, list[UniformHypergraph]]:
+    """``all_partial_shifts``'s result cell by cell, in ``all_permutations`` order."""
+    cells = {w: list(shifted) for shifted, ws in grouped.items() for w in ws}
+    return {w: cells[w] for w in all_permutations(next(iter(cells)).n)}
+
+
+def pivot_rows(state) -> list[int]:
+    """The pivot row of each pivot of a ``ProfileState``, Bareiss or Gauss."""
+    return [pivot[0] for pivot in state._stack]
+
+
+def has_violations(report: ScanReport) -> bool:
+    """True iff a scan found a Betti drop or a contracted graph with a cycle."""
+    return any(c.violations for c in report.complexes) or any(
+        not g.acyclic for g in report.graphs
+    )
 
 
 def inversions_of_product(v: Permutation, w: Permutation) -> frozenset[tuple[int, int]]:

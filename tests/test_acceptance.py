@@ -24,7 +24,7 @@ from conftest import (
     random_unit_upper,
     rng,
 )
-from lemmas import hypergraph_lex_compare, map_variables, twist
+from lemmas import has_violations, hypergraph_lex_compare, map_variables, reduced_word, twist
 from shiftlab import (
     Backend,
     MultiPoly,
@@ -53,6 +53,7 @@ from shiftlab import (
     preserves_betti_certificate,
     random_complexes,
     shift_complex,
+    subset_mask,
 )
 from shiftlab.reproduce import TargetResult, available_targets, golden_data, run_target
 
@@ -419,7 +420,7 @@ def _random_additive_pair(gen, n):
     """Split a random reduced word; prefix and suffix multiply additively."""
     while True:
         target = gen.choice(_perms(n))
-        word = target.reduced_word()
+        word = reduced_word(target)
         if len(word) >= 2:
             cut = gen.randint(1, len(word) - 1)
             v = Permutation.from_word(n, word[:cut])
@@ -453,7 +454,9 @@ def _random_near_cone(gen) -> SimplicialComplex:
     extras = [
         list(cand)
         for cand in itertools.combinations(range(2, n + 1), base.dim + 2)
-        if all(base.contains(cand[:i] + cand[i + 1 :]) for i in range(len(cand)))
+        if all(
+            subset_mask(n, cand[:i] + cand[i + 1 :]) in base.faces for i in range(len(cand))
+        )
         and gen.random() < 0.6
     ]
     K = SimplicialComplex.from_facets(n, coned + extras)
@@ -574,7 +577,7 @@ def test_criterion_9_conjecture_scan():
         prebuilt = [contract(graph, CTX0), contracted[0], contracted[2]]
         report = conjecture_scan(complexes, CTX0, prebuilt_graphs=prebuilt)
         assert all(g.acyclic for g in report.graphs), report.to_json()
-        assert not report.has_violations, report.to_json()
+        assert not has_violations(report), report.to_json()
         shifts = sum(c.permutations_checked for c in report.complexes)
         info["detail"] = (
             f"monotonicity: {len(report.complexes)} complexes, {shifts} shifts, "

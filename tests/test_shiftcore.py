@@ -24,6 +24,7 @@ from lemmas import (
     hypergraph_lex_compare,
     identity_matrix,
     matrix_difference,
+    per_cell,
     product_defect,
     twist,
 )
@@ -803,9 +804,9 @@ def test_all_partial_shifts_match_symbolic_cells_exhaustive(char):
         for k in range(1, n + 1):
             ms = range(1, min(4, math.comb(n, k)) + 1)
             for S in _all_hypergraphs(n, k, ms):
-                shifts = all_partial_shifts((S,), rnd)
-                assert list(shifts) == list(all_permutations(n))
-                for w, (T,) in shifts.items():
+                grouped = all_partial_shifts((S,), rnd)
+                assert sum(map(len, grouped.values())) == math.factorial(n)
+                for w, (T,) in per_cell(grouped).items():
                     pairs += 1
                     if T != partial_shift(S, w, sym):
                         mismatches.append((S.edge_lists(), w.images))
@@ -821,10 +822,11 @@ def test_all_partial_shifts_of_complex_layers_match_symbolic(char):
         layers = all_partial_shifts(K.layers(), rnd)
         images = shift_complex_all_cells(K, rnd)
         assert all_partial_shifts(K.layers(), sym) == layers
+        cells = per_cell(layers)
         for w, image in images.items():
             oracle = shift_complex(K, w, sym)
             assert image == oracle
-            assert layers[w] == oracle.layers()
+            assert cells[w] == oracle.layers()
     # the orders of each (n, k) are built once: 14 layers that move, over
     # 20 calls, ask for the orders of (4, 1), (4, 2) and (4, 3)
     info = shiftcore._cell_column_orders.cache_info()
@@ -924,27 +926,39 @@ def test_symbolic_w0_shift_of_rp2_top_layer_pivots_near_the_diagonal(
 
 
 @pytest.mark.parametrize("char", [0, 2, 3])
-def test_all_partial_shifts_share_one_object_per_family(char):
-    # shift_complex_all_cells and shiftgraph._shift_edges_of group cells by
-    # the identity of their shifted families; a fresh family per cell fails
+def test_all_partial_shifts_group_the_cells_by_outcome(char):
+    # each distinct tuple of shifted layers maps to its witnesses: the lists
+    # partition S_n, each in all_permutations order, and the tuples come in
+    # the order of their first witness, the identity's first
     rnd = make_field_context(char, Backend.RANDOMIZED, seed=201)
+    sym = make_field_context(char, Backend.SYMBOLIC)
     rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
     (small,) = random_complexes(1, n=5, dim=2, seed=201)
-    sym = make_field_context(char, Backend.SYMBOLIC)
-    for K, ctx in [(rp2, rnd), (small, rnd), (small, sym)]:
-        layers = K.layers()
-        shifts = all_partial_shifts(layers, ctx)
-        moved = 0
-        for i, S in enumerate(layers):
-            images = [shifted[i] for shifted in shifts.values()]
-            assert len({id(T) for T in images}) == len(set(images))
-            moved += len(set(images)) > 1
-            if S.m in (0, len(k_subsets(S.n, S.k))):
-                assert all(T is S for T in images)
-        assert moved >= 1
-    images = shift_complex_all_cells(rp2, rnd)
-    assert len({id(L) for L in images.values()}) == len(set(images.values()))
+    for K in (rp2, small):
+        layers = tuple(K.layers())
+        position = {w: i for i, w in enumerate(all_permutations(K.n))}
+        grouped = all_partial_shifts(layers, rnd)
+        outcomes = {tuple(shifted) for shifted in per_cell(grouped).values()}
+        assert len(grouped) == len(outcomes) > 1
+        assert next(iter(grouped)) == layers
+        ranks = [[position[w] for w in ws] for ws in grouped.values()]
+        assert all(r == sorted(set(r)) for r in ranks)
+        assert sorted(i for r in ranks for i in r) == list(range(len(position)))
+        assert [r[0] for r in ranks] == sorted(r[0] for r in ranks)
+        assert list(all_partial_shifts(layers, sym).items()) == list(grouped.items())
+
+
+def test_shift_complex_all_cells_lists_the_cells_in_enumeration_order():
+    rp2 = SimplicialComplex.from_facets(6, RP2_FACETS)
+    images = shift_complex_all_cells(rp2, RND2)
+    assert list(images) == list(all_permutations(6))
+    # the cells that move no layer give the complex itself, and the cells of
+    # each other outcome share one assembled complex
     assert images[Permutation.identity(6)] is rp2
+    grouped = all_partial_shifts(rp2.layers(), RND2)
+    assert len({id(L) for L in images.values()}) == len(grouped)
+    void = SimplicialComplex(4, frozenset())
+    assert shift_complex_all_cells(void, RND2) == dict.fromkeys(all_permutations(4), void)
 
 
 def test_symbolic_shifts_never_build_a_key(monkeypatch):
@@ -974,7 +988,7 @@ def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
         shiftcore, "sample_eval_point", lambda *a: calls.append(a) or sample(*a)
     )
     S, T = _hg(4, 2, [[2, 3], [2, 4]]), _hg(4, 1, [[3]])
-    shifts = all_partial_shifts((S, T), RND2)
+    shifts = per_cell(all_partial_shifts((S, T), RND2))
     assert len(calls) == 1 and len(shifts) == 24
     # the budget sums d_S = k * deg U * m * C(n, k) over the layers, as for
     # shifting by one matrix: D = 2 * 2 * 6 + 1 * 1 * 4, and B = ceil(2D / eps)
@@ -983,10 +997,9 @@ def test_all_partial_shifts_draws_one_point_per_call(monkeypatch):
     assert size == math.ceil(2 * (24 + 4) / RND2.epsilon)
     # empty and complete layers shift to themselves without a point
     empty, complete = UniformHypergraph(4, 2, ()), UniformHypergraph(4, 3, k_subsets(4, 3))
-    assert all(
-        images == [empty, complete]
-        for images in all_partial_shifts((empty, complete), RND).values()
-    )
+    assert all_partial_shifts((empty, complete), RND) == {
+        (empty, complete): list(all_permutations(4))
+    }
     assert len(calls) == 1
     assert shifts[Permutation.identity(4)] == [S, T]
     assert shifts[Permutation.longest(4)] == [full_shift(S, RND2), full_shift(T, RND2)]
@@ -1066,7 +1079,7 @@ def test_char0_prime_moves_up_for_large_coefficients_and_small_epsilon(monkeypat
     domains.clear()
     shifts = all_partial_shifts((S,), tiny)
     assert [dom.p for dom in domains] == [2**521 - 1]
-    assert shifts == {w: [partial_shift(S, w, SYM)] for w in all_permutations(4)}
+    assert per_cell(shifts) == {w: [partial_shift(S, w, SYM)] for w in all_permutations(4)}
 
 
 def test_char0_bound_beyond_the_table_is_refused_before_elimination(monkeypatch):

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from conftest import int_matmul, rng
-from lemmas import inversions_of_product
+from lemmas import inversions_of_product, reduced_word
 from shiftlab import (
     InputFormatError,
     MathPreconditionError,
@@ -78,7 +78,7 @@ def test_length_equals_inversion_count():
 def test_reduced_word_multiplies_back():
     for n in range(1, 6):
         for w in all_permutations(n):
-            word = w.reduced_word()
+            word = reduced_word(w)
             assert len(word) == w.length()
             assert Permutation.from_word(n, word) == w
 
@@ -86,7 +86,7 @@ def test_reduced_word_multiplies_back():
 def test_prefixes_of_reduced_words_are_reduced():
     # the length along any reduced word rises by one per letter
     for w in all_permutations(5):
-        word = w.reduced_word()
+        word = reduced_word(w)
         current = Permutation.identity(5)
         for step, i in enumerate(word, start=1):
             current = current * Permutation.simple(5, i)

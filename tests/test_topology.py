@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import RP2_FACETS, frac_pivots, frac_rank, frac_rank_mod, rng
-from lemmas import identity_matrix
+from lemmas import has_violations, identity_matrix
 from shiftlab import (
     Backend,
     BettiVector,
@@ -37,6 +37,7 @@ from shiftlab import (
     random_complexes,
     shift_complex,
     shift_complex_by_matrix,
+    subset_mask,
     vandermonde_matrix,
     weak_order_geq,
 )
@@ -273,7 +274,8 @@ def _random_near_cones(tag, count):
         extras = []
         for cand in itertools.combinations(range(2, n + 1), base.dim + 2):
             if all(
-                base.contains(cand[:i] + cand[i + 1 :]) for i in range(len(cand))
+                subset_mask(n, cand[:i] + cand[i + 1 :]) in base.faces
+                for i in range(len(cand))
             ):
                 extras.append(list(cand))
         chosen = [e for e in extras if gen.random() < 0.6]
@@ -456,7 +458,7 @@ def test_conjecture_scan_structure():
     (gres,) = report.graphs
     assert (gres.n, gres.k, gres.m) == (3, 2, 2)
     assert gres.acyclic and gres.cycle == ()
-    assert not report.has_violations
+    assert not has_violations(report)
     assert report.to_json() == conjecture_scan([hollow], RND, graph_params=[(3, 2, 2)]).to_json()
     payload = json.loads(report.to_json())
     assert payload["char"] == 0 and len(payload["complexes"]) == 1
@@ -518,7 +520,7 @@ def test_scan_report_surfaces_violations_without_raising():
         ),
         graphs=(GraphScanResult(n=2, k=1, m=1, nodes=1, edges=0, acyclic=False, cycle=(0,)),),
     )
-    assert report.has_violations
+    assert has_violations(report)
     payload = json.loads(report.to_json())
     assert payload["complexes"][0]["violations"] == [violation]
     assert payload["graphs"][0]["acyclic"] is False
